@@ -27,9 +27,7 @@ from .energy import (
     ConditionalVarianceSeries,
     TeoSeries,
     conditional_variance,
-    lie_bracket,
     teo_complex,
-    teo_discrete_kaiser,
     teo_real,
 )
 from .metric import (
@@ -79,66 +77,3 @@ from .runner import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EPS_MAG",
-    "EDGE_WIDTH",
-    "DELTA_CAP",
-    "CSV_COLUMNS",
-    "TimeGrid",
-    "ParkSeries",
-    "PolarSeries",
-    "CFSeries",
-    "TeoSeries",
-    "ConditionalVarianceSeries",
-    "SESeries",
-    "SyncStatus",
-    "SyncVerdict",
-    "ClassifierPolicy",
-    "PllParams",
-    "PllTrace",
-    "SmibParams",
-    "FaultSchedule",
-    "SimResult",
-    "SmibEigenvalues",
-    "SyntheticSpec",
-    "AnalysisResult",
-    "IdentityReport",
-    "ScenarioConfig",
-    "SweepConfig",
-    "ConfigError",
-    "ScenarioRun",
-    "VerifyReport",
-    "unwrap_phase",
-    "differentiate",
-    "polar_decompose",
-    "complex_frequency",
-    "complex_power",
-    "teo_real",
-    "teo_discrete_kaiser",
-    "teo_complex",
-    "lie_bracket",
-    "conditional_variance",
-    "se_from_cf",
-    "se_numeric",
-    "normalized_se",
-    "classify_sync",
-    "pll_run",
-    "smib_simulate",
-    "smib_eigenvalues",
-    "equilibrium_angle",
-    "swing_energy",
-    "synthetic_signal",
-    "analyze",
-    "identity_gap",
-    "parse_scenario",
-    "parse_sweep",
-    "load_scenario",
-    "load_sweep",
-    "execute_scenario",
-    "run_scenario",
-    "run_sweep",
-    "verify_scenario",
-    "write_series_csv",
-    "read_series_csv",
-]

@@ -20,6 +20,7 @@ from pathlib import Path
 import yaml
 
 from .config import ConfigError, load_document, parse_scenario, parse_sweep
+from .pipeline import ESTIMATORS
 from .runner import run_scenario, run_sweep, verify_scenario
 
 
@@ -64,7 +65,7 @@ def _cmd_run(args) -> int:
     doc = _apply_overrides(_load_doc(args.config), args)
     if "sweep" in doc:
         raise ConfigError("", "this is a sweep document; use the sweep command")
-    summary = run_scenario(parse_scenario(doc), args.out_dir, args.emit_series, args.seed)
+    summary = run_scenario(parse_scenario(doc), args.out_dir, args.emit_series)
     print(
         f"{summary['name']}: {summary['status']}"
         + (f", settle {summary['settle_time']:.3f} s" if summary["settle_time"] is not None else "")
@@ -77,7 +78,7 @@ def _cmd_sweep(args) -> int:
     doc = _apply_overrides(_load_doc(args.config), args)
     if "sweep" not in doc:
         raise ConfigError("", "this is a scenario document; use the run command")
-    summary = run_sweep(parse_sweep(doc), args.out_dir, args.emit_series, args.seed)
+    summary = run_sweep(parse_sweep(doc), args.out_dir, args.emit_series)
     for row in summary["rows"]:
         label = row["status"] if row["status"] else f"error: {row['error']}"
         print(f"{summary['axis']} = {row['value']:g}: {label}")
@@ -125,27 +126,29 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, emit_default: bool) -> None:
+    def common(p) -> None:
         p.add_argument("config", help="scenario YAML path or bundled scenario name")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--dt", type=float, default=None, help="override grid.dt")
-        p.add_argument("--estimator", choices=("fd", "pll"), default=None,
+        p.add_argument("--estimator", choices=ESTIMATORS, default=None,
                        help="override analysis.estimator")
+
+    def outputs(p, emit_default: bool) -> None:
+        p.add_argument("--out-dir", default=".", help="directory for output files")
         p.add_argument("--emit-series", action=argparse.BooleanOptionalAction,
                        default=emit_default, help="write per-run series CSV files")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded in summaries; reserved for stochastic templates")
 
     p_run = sub.add_parser("run", help="execute one scenario")
-    common(p_run, emit_default=True)
+    common(p_run)
+    outputs(p_run, emit_default=True)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="scan one numeric axis over a base scenario")
-    common(p_sweep, emit_default=False)
+    common(p_sweep)
+    outputs(p_sweep, emit_default=False)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="check agreement of the two SE routes")
-    common(p_verify, emit_default=False)
+    common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_scen = sub.add_parser("scenarios", help="inspect bundled scenarios")

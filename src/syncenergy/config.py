@@ -27,6 +27,7 @@ import math
 import yaml
 
 from .metric import ClassifierPolicy
+from .pipeline import ESTIMATORS
 from .pll import PllParams
 from .simulator import FaultSchedule, SmibParams, SyntheticSpec
 from .signals import TimeGrid
@@ -140,7 +141,6 @@ class ScenarioConfig:
     policy: ClassifierPolicy = field(default_factory=ClassifierPolicy)
     max_identity_gap: float = 0.01
     columns: tuple = CSV_COLUMNS
-    seed: int | None = None
 
 
 @dataclass
@@ -151,6 +151,10 @@ class SweepConfig:
     values: tuple
     base_doc: dict
     name: str
+
+    def run_name(self, value: float) -> str:
+        """Name of the run at one axis value, used for its output files."""
+        return f"{self.name}__{self.axis.replace('.', '_')}_{value:g}"
 
 
 def _parse_grid(node, path: str) -> TimeGrid:
@@ -270,7 +274,7 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
 
     analysis = _mapping(top.pop("analysis", None), "analysis")
     estimator = _choice(
-        _string(analysis, "estimator", "analysis", default="fd"), ("fd", "pll"), "analysis.estimator"
+        _string(analysis, "estimator", "analysis", default="fd"), ESTIMATORS, "analysis.estimator"
     )
     max_gap = _number(analysis, "max_identity_gap", "analysis", default=0.01)
     if max_gap <= 0.0:
@@ -346,7 +350,17 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
     # the base must itself be a valid scenario once any axis value is set
     probe = apply_axis(base, axis, values[0])
     parsed = parse_scenario(probe, source)
-    return SweepConfig(axis=axis, values=tuple(values), base_doc=base, name=parsed.name)
+    config = SweepConfig(axis=axis, values=tuple(values), base_doc=base, name=parsed.name)
+    first = {}
+    for k, value in enumerate(values):
+        name = config.run_name(value)
+        if name in first:
+            raise ConfigError(
+                f"sweep.values[{k}]",
+                f"{value!r} gives the run name {name!r} of sweep.values[{first[name]}]",
+            )
+        first[name] = k
+    return config
 
 
 def apply_axis(base_doc: dict, axis: str, value: float) -> dict:

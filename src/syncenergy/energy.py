@@ -60,9 +60,6 @@ class TeoSeries:
     grid: TimeGrid
     value: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.value = _as_series(self.value, self.grid.n, "value")
-
     def interior(self) -> np.ndarray:
         """Samples unaffected by boundary stencils."""
         return self.value[EDGE_WIDTH:-EDGE_WIDTH]
@@ -80,12 +77,6 @@ class ConditionalVarianceSeries:
     grid: TimeGrid
     value: np.ndarray
     valid: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.value = _as_series(self.value, self.grid.n, "value")
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != (self.grid.n,):
-            raise ValueError("valid mask shape does not match grid")
 
     def interior(self) -> np.ndarray:
         return self.value[EDGE_WIDTH:-EDGE_WIDTH]
@@ -121,34 +112,6 @@ def teo_real(x, grid: TimeGrid) -> TeoSeries:
     xd = differentiate(x, grid)
     xdd = differentiate(xd, grid)
     return TeoSeries(grid, xd * xd - x * xdd)
-
-
-def teo_discrete_kaiser(x) -> np.ndarray:
-    """Three-point sample-domain TEO: y[k] = x[k]^2 - x[k-1] x[k+1].
-
-    Operates directly on samples without a grid; the result approximates
-    dt^2 times :func:`teo_real` on smooth signals.  Endpoints copy the
-    nearest interior value.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 3:
-        raise ValueError("teo_discrete_kaiser expects a 1-D sequence of >= 3 samples")
-    out = np.empty_like(x)
-    out[1:-1] = x[1:-1] * x[1:-1] - x[:-2] * x[2:]
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return out
-
-
-def lie_bracket(x, y, grid: TimeGrid) -> np.ndarray:
-    """Derivative bracket [x, y] = (dx/dt) y - x (dy/dt).
-
-    Antisymmetric in its arguments; [x, dx/dt] reproduces the TEO of x
-    exactly under the shared differentiation scheme.
-    """
-    x = _as_series(x, grid.n, "x")
-    y = _as_series(y, grid.n, "y")
-    return differentiate(x, grid) * y - x * differentiate(y, grid)
 
 
 def teo_complex(x: ParkSeries) -> TeoSeries:

@@ -22,7 +22,7 @@ The same quantity can be estimated without any polar decomposition as
 
 a direct TEO computation on active and reactive power.  Agreement of the
 two routes on smooth trajectories is a built-in consistency check; see
-:func:`syncenergy.pipeline.identity_report`.
+:func:`syncenergy.pipeline.identity_gap`.
 
 :func:`classify_sync` turns an SE series into a verdict.  All its
 thresholds are relative to peaks of the series itself, so scaling the SE
@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EDGE_WIDTH, TeoSeries, conditional_variance, teo_real
-from .signals import EPS_MAG, CFSeries, ParkSeries, TimeGrid, _as_series, _require_same_grid
+from .signals import EPS_MAG, CFSeries, ParkSeries, TimeGrid, _require_same_grid
 
-# samples skipped per grid step after a disturbance, so derivative stencils
-# never straddle the switching instant
+# grid steps always skipped next to a switching instant, so derivative
+# stencils never straddle it
 _GUARD_STENCIL = 5
 
 
@@ -61,13 +61,6 @@ class SESeries:
     sigma2_s: np.ndarray
     s_mag2: np.ndarray
     valid: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("psi", "freq_term", "var_term", "sigma2_s", "s_mag2"):
-            setattr(self, name, _as_series(getattr(self, name), self.grid.n, name))
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != (self.grid.n,):
-            raise ValueError("valid mask shape does not match grid")
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.grid.n, dtype=bool)
@@ -142,6 +135,10 @@ class ClassifierPolicy:
             raise ValueError("growth_factor must exceed 1")
         if self.guard < 0.0:
             raise ValueError("guard must be non-negative")
+
+    def guard_width(self, dt: float) -> float:
+        """Seconds skipped next to a switching instant on a grid of step ``dt``."""
+        return max(self.guard, _GUARD_STENCIL * dt)
 
 
 def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
@@ -227,8 +224,7 @@ def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
     times = se.grid.times()
     mask = se.valid & se.interior_mask()
     if policy.disturbance_end is not None:
-        guard = max(policy.guard, _GUARD_STENCIL * se.grid.dt)
-        mask &= times >= policy.disturbance_end + guard
+        mask &= times >= policy.disturbance_end + policy.guard_width(se.grid.dt)
     t = times[mask]
     if t.size < 2 or t[-1] - t[0] < policy.tail_window:
         return SyncVerdict(SyncStatus.INDETERMINATE, None, float("nan"), float("nan"))

@@ -25,15 +25,7 @@ import numpy as np
 from .energy import TeoSeries
 from .metric import SESeries, normalized_se, se_from_cf, se_numeric
 from .pll import PllParams, pll_run
-from .signals import (
-    EPS_MAG,
-    CFSeries,
-    ParkSeries,
-    complex_frequency,
-    complex_power,
-    differentiate,
-    polar_decompose,
-)
+from .signals import CFSeries, ParkSeries, _as_series, complex_frequency, complex_power
 
 ESTIMATORS = ("fd", "pll")
 
@@ -67,16 +59,6 @@ class IdentityReport:
     n_compared: int
 
 
-def _cf_via_pll(x: ParkSeries, params: PllParams) -> CFSeries:
-    """Complex frequency with omega taken from a PLL tracking x."""
-    polar = polar_decompose(x)
-    safe_mag = np.maximum(polar.magnitude, EPS_MAG)
-    rho = differentiate(np.log(safe_mag), x.grid)
-    trace = pll_run(x, params)
-    omega = trace.omega_hat - params.omega_o
-    return CFSeries(x.grid, rho, omega, polar.magnitude, ~polar.degenerate)
-
-
 def analyze(
     v: ParkSeries,
     i: ParkSeries,
@@ -101,15 +83,25 @@ def analyze(
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     s = complex_power(v, i)
-    if estimator == "fd":
-        cf_v = complex_frequency(v)
-        cf_i = complex_frequency(i)
-    else:
+    cf_v = complex_frequency(v)
+    cf_i = complex_frequency(i)
+    if estimator == "pll":
         params = pll_params if pll_params is not None else PllParams()
-        cf_v = _cf_via_pll(v, params)
-        cf_i = _cf_via_pll(i, params)
+        cf_v.omega = pll_run(v, params).omega_hat - params.omega_o
+        cf_i.omega = pll_run(i, params).omega_hat - params.omega_o
     se = se_from_cf(cf_v, cf_i, s)
     psi_numeric = se_numeric(s.d, s.q, s.grid)
+    # intermediates are not checked one by one; derivatives on a very fine
+    # grid can overflow, so the series handed out are checked here once
+    for name, x in (
+        ("rho_v", cf_v.rho),
+        ("omega_v", cf_v.omega),
+        ("rho_i", cf_i.rho),
+        ("omega_i", cf_i.omega),
+        ("psi_cf", se.psi),
+        ("psi_numeric", psi_numeric.value),
+    ):
+        _as_series(x, s.grid.n, name)
     return AnalysisResult(v, i, s, cf_v, cf_i, se, psi_numeric, normalized_se(se))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import rk4_step
-from .signals import EPS_MAG, ParkSeries, TimeGrid, _as_series
+from .signals import EPS_MAG, ParkSeries, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,6 @@ class PllTrace:
     grid: TimeGrid
     theta_hat: np.ndarray
     omega_hat: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.theta_hat = _as_series(self.theta_hat, self.grid.n, "theta_hat")
-        self.omega_hat = _as_series(self.omega_hat, self.grid.n, "omega_hat")
 
 
 def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> PllTrace:

@@ -24,10 +24,6 @@ from .pipeline import AnalysisResult, IdentityReport, analyze, identity_gap
 from .simulator import smib_simulate, synthetic_signal
 from .signals import TimeGrid, complex_power
 
-# samples skipped on each side of a reactance switching when comparing
-# the two SE routes; stencils straddling the switch measure the jump
-_GUARD_STENCIL = 5
-
 
 @dataclass
 class ScenarioRun:
@@ -54,9 +50,11 @@ class VerifyReport:
 
 
 def _switch_windows(config: ScenarioConfig, dt: float) -> tuple:
+    # the routes are not compared next to a reactance switching: stencils
+    # straddling it measure the jump
     if config.fault is None:
         return ()
-    g = max(config.policy.guard, _GUARD_STENCIL * dt)
+    g = config.policy.guard_width(dt)
     return (
         (config.fault.t_apply - g, config.fault.t_apply + g),
         (config.fault.t_clear - g, config.fault.t_clear + g),
@@ -152,7 +150,7 @@ def read_series_csv(path) -> dict:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [[float(x) for x in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float).reshape(-1, len(header))
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
@@ -162,7 +160,7 @@ def _jsonable(value):
     return value
 
 
-def summarize_run(run: ScenarioRun, series_file: str | None, seed: int | None = None) -> dict:
+def summarize_run(run: ScenarioRun, series_file: str | None) -> dict:
     verdict = run.verdict
     return {
         "name": run.config.name,
@@ -180,16 +178,10 @@ def summarize_run(run: ScenarioRun, series_file: str | None, seed: int | None = 
         "identity_max_abs_gap": _jsonable(run.identity.max_abs_gap),
         "identity_scale": _jsonable(run.identity.scale),
         "series_csv": series_file,
-        "seed": seed,
     }
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    out_dir,
-    emit_series: bool = True,
-    seed: int | None = None,
-) -> dict:
+def run_scenario(config: ScenarioConfig, out_dir, emit_series: bool = True) -> dict:
     """Execute a scenario and write its series CSV and summary JSON.
 
     Returns the summary record.  A diverged simulation still succeeds:
@@ -203,7 +195,7 @@ def run_scenario(
     if emit_series:
         series_file = f"{config.name}.csv"
         write_series_csv(out_dir / series_file, run.columns, config.columns)
-    summary = summarize_run(run, series_file, seed)
+    summary = summarize_run(run, series_file)
     (out_dir / f"{config.name}.summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
@@ -222,12 +214,18 @@ _SWEEP_FIELDS = (
 )
 
 
-def run_sweep(
-    sweep: SweepConfig,
-    out_dir,
-    emit_series: bool = False,
-    seed: int | None = None,
-) -> dict:
+def _sweep_cell(value, ran: bool) -> str:
+    """CSV text of one sweep-table field; ``ran`` is False on error rows."""
+    if value is None:
+        return "nan" if ran else ""  # unsettled run, or field never computed
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def run_sweep(sweep: SweepConfig, out_dir, emit_series: bool = False) -> dict:
     """Run the base scenario once per axis value and tabulate the results.
 
     A failing value (invalid parameters, no equilibrium) is recorded in
@@ -236,14 +234,13 @@ def run_sweep(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    axis_slug = sweep.axis.replace(".", "_")
     rows = []
     for value in sweep.values:
-        row = {name: "" for name in _SWEEP_FIELDS}
-        row["value"] = value
+        row = dict.fromkeys(_SWEEP_FIELDS)  # None: not computed for this row
+        row.update(value=value, error="")
         try:
             config = parse_scenario(apply_axis(sweep.base_doc, sweep.axis, value))
-            config = dataclasses.replace(config, name=f"{sweep.name}__{axis_slug}_{value:g}")
+            config = dataclasses.replace(config, name=sweep.run_name(value))
             run = execute_scenario(config)
             if emit_series:
                 write_series_csv(out_dir / f"{config.name}.csv", run.columns, config.columns)
@@ -264,38 +261,15 @@ def run_sweep(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("axis",) + _SWEEP_FIELDS)
         for row in rows:
-            out = [sweep.axis]
-            for name in _SWEEP_FIELDS:
-                value = row[name]
-                if isinstance(value, bool):
-                    out.append("true" if value else "false")
-                elif isinstance(value, float) or isinstance(value, int):
-                    out.append(repr(float(value)))
-                elif value is None:
-                    out.append("nan")
-                else:
-                    out.append(value)
-            writer.writerow(out)
+            ran = row["status"] is not None
+            writer.writerow([sweep.axis] + [_sweep_cell(row[name], ran) for name in _SWEEP_FIELDS])
 
-    json_rows = []
-    for row in rows:
-        record = {}
-        for name in _SWEEP_FIELDS:
-            value = row[name]
-            if name != "error" and value == "":
-                record[name] = None  # field never computed for this row
-            elif isinstance(value, (bool, str)) or value is None:
-                record[name] = value
-            else:
-                record[name] = _jsonable(float(value))
-        json_rows.append(record)
     summary = {
         "name": sweep.name,
         "axis": sweep.axis,
         "values": list(sweep.values),
-        "rows": json_rows,
+        "rows": [{name: _jsonable(value) for name, value in row.items()} for row in rows],
         "table_csv": table_file,
-        "seed": seed,
     }
     (out_dir / f"{sweep.name}.sweep.summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"

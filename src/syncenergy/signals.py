@@ -20,7 +20,7 @@ different grids is a contract violation and raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,16 +109,7 @@ class PolarSeries:
     grid: TimeGrid
     magnitude: np.ndarray
     phase: np.ndarray
-    degenerate: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        self.magnitude = _as_series(self.magnitude, self.grid.n, "magnitude")
-        self.phase = _as_series(self.phase, self.grid.n, "phase")
-        if self.degenerate is None:
-            self.degenerate = np.zeros(self.grid.n, dtype=bool)
-        self.degenerate = np.asarray(self.degenerate, dtype=bool)
-        if self.degenerate.shape != (self.grid.n,):
-            raise ValueError("degenerate mask shape does not match grid")
+    degenerate: np.ndarray
 
 
 @dataclass
@@ -136,14 +127,6 @@ class CFSeries:
     omega: np.ndarray
     magnitude: np.ndarray
     valid: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rho = _as_series(self.rho, self.grid.n, "rho")
-        self.omega = _as_series(self.omega, self.grid.n, "omega")
-        self.magnitude = _as_series(self.magnitude, self.grid.n, "magnitude")
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != (self.grid.n,):
-            raise ValueError("valid mask shape does not match grid")
 
     def eta(self) -> np.ndarray:
         """Complex frequency samples rho + j omega."""

@@ -100,6 +100,30 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
     assert "config error at grid.dt" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_exits_2_when_derivatives_overflow(tmp_path, capsys):
+    """On a grid this fine the differentiated series overflow to inf."""
+    doc = tmp_path / "fine.yaml"
+    doc.write_text("""
+name: fine
+system:
+  kind: smib
+  H: 5.0
+  D: 5.0
+  x_gen: 0.3
+  x_line_prefault: 0.2
+  x_line_fault: 1.0
+  x_line_postfault: 0.2
+grid:
+  t_end: 4.0e-200
+  dt: 1.0e-200
+""", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(doc), "--out-dir", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_run_rejects_sweep_document(tmp_path, capsys):
     path = tmp_path / "sw.yaml"
     path.write_text(SWEEP_YAML, encoding="utf-8")

@@ -194,6 +194,13 @@ def test_sweep_axis_values_validated():
         parse_sweep(_sweep_doc([5.0, "ten"]))
 
 
+def test_sweep_rejects_values_sharing_a_run_name():
+    # both values print as "5" under the :g run-name format, so the second
+    # run's output files would overwrite the first's
+    with pytest.raises(ConfigError, match=r"at sweep.values\[2\]: .*sweep.values\[0\]"):
+        parse_sweep(_sweep_doc([5.0, 6.0, 5.0000001]))
+
+
 def test_sweep_axis_must_point_into_base():
     doc = _sweep_doc([5.0])
     doc["sweep"]["axis"] = "machine.H"

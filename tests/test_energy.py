@@ -1,16 +1,12 @@
-"""Teager energy operators, the Lie bracket, and envelope variances."""
+"""Teager energy operators and envelope variances."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from syncenergy.energy import (
     EDGE_WIDTH,
     conditional_variance,
-    lie_bracket,
     teo_complex,
-    teo_discrete_kaiser,
     teo_real,
 )
 from syncenergy.signals import ParkSeries, TimeGrid
@@ -62,65 +58,6 @@ def test_teo_requires_five_samples():
     g = TimeGrid(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="at least 5"):
         teo_real(np.ones(4), g)
-
-
-# ----------------------------------------------------- teo_discrete_kaiser
-
-def test_kaiser_frozen_quadratic():
-    """On the squares k^2 the three-point form gives 2 k^2 - 1 pointwise."""
-    out = teo_discrete_kaiser([0.0, 1.0, 4.0, 9.0, 16.0])
-    np.testing.assert_array_equal(out, [1.0, 1.0, 7.0, 17.0, 17.0])
-
-
-def test_kaiser_sinusoid_matches_closed_form():
-    a, w = 2.0, 5.0
-    out = teo_discrete_kaiser(a * np.cos(w * T))
-    expected = a * a * np.sin(w * GRID.dt) ** 2
-    np.testing.assert_allclose(out[1:-1], expected, rtol=0, atol=1e-12)
-
-
-def test_kaiser_scales_like_dt2_times_teo():
-    x = np.cos(5.0 * T) + 0.3 * np.sin(2.0 * T)
-    kaiser = teo_discrete_kaiser(x) / GRID.dt**2
-    cont = teo_real(x, GRID).value
-    np.testing.assert_allclose(kaiser[2:-2], cont[2:-2], rtol=1e-4)
-
-
-def test_kaiser_rejects_short_input():
-    with pytest.raises(ValueError, match=">= 3"):
-        teo_discrete_kaiser([1.0, 2.0])
-
-
-# ------------------------------------------------------------- lie_bracket
-
-def test_bracket_of_signal_with_its_derivative_is_teo():
-    from syncenergy.signals import differentiate
-
-    x = np.cos(3.0 * T) * (1.0 + 0.1 * T)
-    xd = differentiate(x, GRID)
-    np.testing.assert_array_equal(lie_bracket(x, xd, GRID), teo_real(x, GRID).value)
-
-
-@settings(deadline=None, max_examples=30)
-@given(
-    st.floats(min_value=0.5, max_value=5.0),
-    st.floats(min_value=0.5, max_value=5.0),
-    st.floats(min_value=0.0, max_value=6.28),
-)
-def test_bracket_is_antisymmetric(w1, w2, phase):
-    x = np.cos(w1 * T)
-    y = np.sin(w2 * T + phase)
-    np.testing.assert_array_equal(lie_bracket(x, y, GRID), -lie_bracket(y, x, GRID))
-
-
-def test_bracket_of_independent_oscillations_frozen_form():
-    """[cos w1 t, cos w2 t] has the closed form from the product rule."""
-    w1, w2 = 2.0, 3.0
-    out = lie_bracket(np.cos(w1 * T), np.cos(w2 * T), GRID)
-    s1 = np.sin(w1 * GRID.dt) / GRID.dt
-    s2 = np.sin(w2 * GRID.dt) / GRID.dt
-    expected = -s1 * np.sin(w1 * T) * np.cos(w2 * T) + s2 * np.cos(w1 * T) * np.sin(w2 * T)
-    np.testing.assert_allclose(out[1:-1], expected[1:-1], rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------- teo_complex

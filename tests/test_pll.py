@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from syncenergy.pll import PllParams, PllTrace, pll_run
+from syncenergy.pll import PllParams, pll_run
 from syncenergy.signals import ParkSeries, TimeGrid
 
 GRID = TimeGrid(0.0, 1e-3, 5001)
@@ -61,8 +61,3 @@ def test_degenerate_gap_holds_last_detector_output():
     assert np.isfinite(trace.theta_hat).all()
     assert np.isfinite(trace.omega_hat).all()
     assert trace.theta_hat[-1] == pytest.approx(0.2, abs=1e-5)
-
-
-def test_trace_validates_lengths():
-    with pytest.raises(ValueError, match="shape"):
-        PllTrace(GRID, np.zeros(7), np.zeros(GRID.n))

@@ -126,6 +126,16 @@ def test_series_csv_nan_round_trips(tmp_path):
     assert np.isnan(back["delta"]).all()
 
 
+def test_series_csv_header_only_reads_as_empty_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,p\n", encoding="utf-8")
+    back = read_series_csv(path)
+    assert tuple(back) == ("t", "p")
+    for column in back.values():
+        assert column.shape == (0,)
+        assert column.dtype == float
+
+
 # ------------------------------------------------------------- run_scenario
 
 def test_run_scenario_emits_csv_and_summary(tmp_path):
