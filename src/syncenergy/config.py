@@ -20,10 +20,11 @@ report ``config error at system.H: ...``.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import math
 import yaml
 
 from .metric import ClassifierPolicy
@@ -53,6 +54,9 @@ CSV_COLUMNS = (
     "freq_term",
     "var_term",
 )
+
+# most samples a grid may ask for: an analysed sample holds about 220 bytes
+MAX_SAMPLES = 10**7
 
 _SYNTH_FIELDS = (
     "v_mag",
@@ -166,7 +170,10 @@ def _parse_grid(node, path: str) -> TimeGrid:
         raise ConfigError(_join(path, "dt"), "must be positive")
     if t_end <= 0.0:
         raise ConfigError(_join(path, "t_end"), "must be positive")
-    n = int(round(t_end / dt)) + 1
+    steps = t_end / dt
+    if not math.isfinite(steps) or round(steps) + 1 > MAX_SAMPLES:
+        raise ConfigError(_join(path, "dt"), f"t_end/dt gives {steps + 1:.10g} samples; at most {MAX_SAMPLES}")
+    n = int(round(steps)) + 1
     if n < 5:
         raise ConfigError(path, f"t_end/dt gives only {n} samples; need at least 5")
     return TimeGrid(0.0, dt, n)
@@ -339,8 +346,6 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
     node = base
     for part in parts[:-1]:
         node = node.get(part) if isinstance(node, dict) else None
-        if node is None:
-            raise ConfigError(_join("base", axis), "axis parent section not found in base")
     if not isinstance(node, dict):
         raise ConfigError(_join("base", axis), "axis parent section not found in base")
     leaf = node.get(parts[-1])
@@ -365,8 +370,6 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
 
 def apply_axis(base_doc: dict, axis: str, value: float) -> dict:
     """Deep-copy the base document with ``axis`` set to ``value``."""
-    import copy
-
     doc = copy.deepcopy(base_doc)
     node = doc
     parts = axis.split(".")

@@ -82,17 +82,19 @@ def analyze(
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    s = complex_power(v, i)
-    cf_v = complex_frequency(v)
-    cf_i = complex_frequency(i)
-    if estimator == "pll":
-        params = pll_params if pll_params is not None else PllParams()
-        cf_v.omega = pll_run(v, params).omega_hat - params.omega_o
-        cf_i.omega = pll_run(i, params).omega_hat - params.omega_o
-    se = se_from_cf(cf_v, cf_i, s)
-    psi_numeric = se_numeric(s.d, s.q, s.grid)
-    # intermediates are not checked one by one; derivatives on a very fine
-    # grid can overflow, so the series handed out are checked here once
+    # the kernels run unchecked, and on a very fine grid their derivatives
+    # overflow; the series handed out are checked once, below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = complex_power(v, i)
+        cf_v = complex_frequency(v)
+        cf_i = complex_frequency(i)
+        if estimator == "pll":
+            params = pll_params if pll_params is not None else PllParams()
+            cf_v.omega = pll_run(v, params).omega_hat - params.omega_o
+            cf_i.omega = pll_run(i, params).omega_hat - params.omega_o
+        se = se_from_cf(cf_v, cf_i, s)
+        psi_numeric = se_numeric(s.d, s.q, s.grid)
+        normalized = normalized_se(se)
     for name, x in (
         ("rho_v", cf_v.rho),
         ("omega_v", cf_v.omega),
@@ -102,7 +104,7 @@ def analyze(
         ("psi_numeric", psi_numeric.value),
     ):
         _as_series(x, s.grid.n, name)
-    return AnalysisResult(v, i, s, cf_v, cf_i, se, psi_numeric, normalized_se(se))
+    return AnalysisResult(v, i, s, cf_v, cf_i, se, psi_numeric, normalized)
 
 
 def identity_gap(

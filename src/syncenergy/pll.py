@@ -18,8 +18,10 @@ kp = 10, ki = 20 place both poles on the negative real axis
 (about -2.76 and -7.24 1/s), giving a non-ringing response that settles
 well within two seconds.
 
-Integration uses the same fixed-step RK4 as the swing simulator, with
-the input vector interpolated linearly to stage times.
+Integration is the classical fixed-step RK4 tableau, written out on the
+state (theta, integral of e): stages at t_k, t_k + dt/2 (twice) and
+t_k + dt, each reading the input vector interpolated linearly to its
+fraction of the step.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import rk4_step
 from .signals import EPS_MAG, ParkSeries, TimeGrid
 
 
@@ -67,41 +68,54 @@ def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> PllTrace:
         ``omega_o`` plus the loop-filter output at each sample.
     """
     grid = v.grid
-    d, q = v.d, v.q
+    d, q = v.d.tolist(), v.q.tolist()
     dt = grid.dt
-    kp, ki = params.kp, params.ki
-    hold = [0.0]  # last valid detector output, for degenerate samples
+    half, sixth = 0.5 * dt, dt / 6.0
+    kp, ki, omega_o = params.kp, params.ki, params.omega_o
+    cos, sin, hypot = math.cos, math.sin, math.hypot
 
-    def detector(vd: float, vq: float, theta: float) -> float:
-        mag = math.hypot(vd, vq)
-        if mag < EPS_MAG:
-            return hold[0]
-        e = (vq * math.cos(theta) - vd * math.sin(theta)) / mag
-        hold[0] = e
-        return e
+    theta_hat, omega_hat = np.empty(grid.n), np.empty(grid.n)
+    theta, xi = 0.0, 0.0  # phase and integral of e
+    held = 0.0  # last valid detector output, for degenerate samples
 
-    theta_hat = np.empty(grid.n)
-    omega_hat = np.empty(grid.n)
-    y = (0.0, 0.0)  # (theta, integral of e)
-
+    # the detector e = Im(v e^{-j theta}) / |v| holds its last output where
+    # |v| < EPS_MAG; the derivative of (theta, xi) is (kp e + ki xi, e)
     for k in range(grid.n - 1):
-        e_now = detector(d[k], q[k], y[0])
-        theta_hat[k] = y[0]
-        omega_hat[k] = params.omega_o + kp * e_now + ki * y[1]
+        d0, q0, d1, q1 = d[k], q[k], d[k + 1], q[k + 1]
+        mag = hypot(d0, q0)
+        e = held = held if mag < EPS_MAG else (q0 * cos(theta) - d0 * sin(theta)) / mag
+        theta_hat[k] = theta
+        omega_hat[k] = omega_o + kp * e + ki * xi
 
-        d0, q0 = d[k], q[k]
-        d1, q1 = d[k + 1], q[k + 1]
-
-        def deriv(t: float, state: tuple) -> tuple:
-            theta, xi = state
-            s = (t - t_k) / dt
-            e = detector(d0 + s * (d1 - d0), q0 + s * (q1 - q0), theta)
-            return (kp * e + ki * xi, e)
-
+        # RK4 stages at t_k, t_k + dt/2 (twice) and t_k + dt, each reading
+        # the input interpolated linearly to its fraction of the step
         t_k = grid.t0 + k * dt
-        y = rk4_step(deriv, t_k, y, dt)
+        dd, dq = d1 - d0, q1 - q0
+        s = (t_k - t_k) / dt
+        vd, vq = d0 + s * dd, q0 + s * dq
+        mag = hypot(vd, vq)
+        e1 = held = held if mag < EPS_MAG else (vq * cos(theta) - vd * sin(theta)) / mag
+        kt1 = kp * e1 + ki * xi
+        s = ((t_k + half) - t_k) / dt
+        vd, vq = d0 + s * dd, q0 + s * dq
+        mag = hypot(vd, vq)
+        th = theta + half * kt1
+        e2 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
+        kt2 = kp * e2 + ki * (xi + half * e1)
+        th = theta + half * kt2
+        e3 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
+        kt3 = kp * e3 + ki * (xi + half * e2)
+        s = ((t_k + dt) - t_k) / dt
+        vd, vq = d0 + s * dd, q0 + s * dq
+        mag = hypot(vd, vq)
+        th = theta + dt * kt3
+        e4 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
+        kt4 = kp * e4 + ki * (xi + dt * e3)
+        theta = theta + sixth * (kt1 + 2.0 * (kt2 + kt3) + kt4)
+        xi = xi + sixth * (e1 + 2.0 * (e2 + e3) + e4)
 
-    e_last = detector(d[-1], q[-1], y[0])
-    theta_hat[-1] = y[0]
-    omega_hat[-1] = params.omega_o + kp * e_last + ki * y[1]
+    mag = hypot(d[-1], q[-1])
+    e = held if mag < EPS_MAG else (q[-1] * cos(theta) - d[-1] * sin(theta)) / mag
+    theta_hat[-1] = theta
+    omega_hat[-1] = omega_o + kp * e + ki * xi
     return PllTrace(grid, theta_hat, omega_hat)

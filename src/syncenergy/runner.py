@@ -77,7 +77,11 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioRun:
         omega_pu = np.full(grid.n, math.nan)
         diverged = False
 
-    analysis = analyze(v, i, config.estimator, config.pll)
+    try:
+        analysis = analyze(v, i, config.estimator, config.pll)
+    except ValueError as exc:
+        # on a validated scenario: derivatives overflow, or the record is too short
+        raise ConfigError("grid.dt", f"{exc} when analysed at dt={grid.dt!r}") from exc
     verdict = classify_sync(analysis.se, config.policy)
     if diverged:
         # the angle cap fired: the rotor ran away.  A record truncated

@@ -26,12 +26,12 @@ synchronization energy, used as oracles and demonstration scenarios.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import rk4_step
 from .signals import ParkSeries, TimeGrid, complex_power
 
 # rotor angle magnitude (rad) beyond which a run counts as diverged
@@ -193,45 +193,52 @@ def smib_simulate(
     delta0 = equilibrium_angle(params, "pre")
     e, v_inf, pm = params.E, params.V_inf, params.Pm
     d_damp, two_h, omega_n = params.D, 2.0 * params.H, params.omega_n
+    dt, n_steps, sin = grid.dt, grid.n - 1, math.sin
+    half, sixth = 0.5 * dt, dt / 6.0
+    eps_t = 0.5 * dt  # interval lookup at step start, robust to rounding
 
-    def interval_of(t: float) -> str:
-        if fault is None or t < fault.t_apply:
-            return "pre"
-        if t < fault.t_clear:
-            return "fault"
-        return "post"
+    # first step of each interval: "t_k + eps_t < edge" is monotone in k
+    intervals, starts = ("pre",), [0]
+    if fault is not None:
+        intervals += ("fault", "post")
+        starts += [
+            bisect.bisect_left(range(n_steps), True, key=lambda k: not grid.t0 + k * dt + eps_t < edge)
+            for edge in (fault.t_apply, fault.t_clear)
+        ]
 
-    delta = np.empty(grid.n)
-    omega = np.empty(grid.n)
-    delta[0], omega[0] = delta0, 1.0
-    y = (delta0, 1.0)
-    n_kept = grid.n
+    delta, omega = np.empty(grid.n), np.empty(grid.n)
+    d, w = delta0, 1.0
+    delta[0], omega[0] = d, w
     diverged = False
-    eps_t = 0.5 * grid.dt  # interval lookup at step start, robust to rounding
-
-    for k in range(grid.n - 1):
-        t_k = grid.t0 + k * grid.dt
-        x_tot = params.x_total(interval_of(t_k + eps_t))
-        p_max = e * v_inf / x_tot
-
-        def deriv(t: float, state: tuple) -> tuple:
-            d, w = state
+    # classical RK4 on (omega_n slip, (Pm - p_max sin(delta) - D slip) / 2H)
+    for interval, k_lo, k_hi in zip(intervals, starts, starts[1:] + [n_steps]):
+        p_max = e * v_inf / params.x_total(interval)
+        for k in range(k_lo, k_hi):
             slip = w - 1.0
-            return (
-                omega_n * slip,
-                (pm - p_max * math.sin(d) - d_damp * slip) / two_h,
-            )
-
-        y = rk4_step(deriv, t_k, y, grid.dt)
-        delta[k + 1], omega[k + 1] = y
-        if abs(y[0]) > delta_cap:
-            n_kept = k + 2
-            diverged = True
+            kd1 = omega_n * slip
+            kw1 = (pm - p_max * sin(d) - d_damp * slip) / two_h
+            slip = w + half * kw1 - 1.0
+            kd2 = omega_n * slip
+            kw2 = (pm - p_max * sin(d + half * kd1) - d_damp * slip) / two_h
+            slip = w + half * kw2 - 1.0
+            kd3 = omega_n * slip
+            kw3 = (pm - p_max * sin(d + half * kd2) - d_damp * slip) / two_h
+            slip = w + dt * kw3 - 1.0
+            kd4 = omega_n * slip
+            kw4 = (pm - p_max * sin(d + dt * kd3) - d_damp * slip) / two_h
+            d = d + sixth * (kd1 + 2.0 * (kd2 + kd3) + kd4)
+            w = w + sixth * (kw1 + 2.0 * (kw2 + kw3) + kw4)
+            delta[k + 1] = d
+            omega[k + 1] = w
+            if abs(d) > delta_cap:
+                diverged = True
+                break
+        if diverged:
             break
+    n_kept = k + 2 if diverged else grid.n
 
     out_grid = grid if n_kept == grid.n else TimeGrid(grid.t0, grid.dt, n_kept)
-    delta = delta[:n_kept]
-    omega = omega[:n_kept]
+    delta, omega = delta[:n_kept], omega[:n_kept]
 
     times = out_grid.times()
     if fault is None:

@@ -100,9 +100,10 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
     assert "config error at grid.dt" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_exits_2_when_derivatives_overflow(tmp_path, capsys):
-    """On a grid this fine the differentiated series overflow to inf."""
+    """On a grid this fine the differentiated series overflow to inf: the
+    run is refused at grid.dt, without numpy warnings on the way."""
     doc = tmp_path / "fine.yaml"
     doc.write_text("""
 name: fine
@@ -120,7 +121,10 @@ grid:
 """, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", str(doc), "--out-dir", str(out)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error at grid.dt" in err
+    assert "non-finite" in err and "dt=1e-200" in err
+    assert "RuntimeWarning" not in err
     assert not list(out.glob("*.csv"))
 
 

@@ -7,6 +7,7 @@ import yaml
 
 from syncenergy.config import (
     CSV_COLUMNS,
+    MAX_SAMPLES,
     ConfigError,
     apply_axis,
     load_document,
@@ -146,6 +147,24 @@ def test_classifier_thresholds_are_configurable():
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_scenario(_with(SMIB_DOC, path, value))
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (120.0, 1.0e-320),  # t_end/dt overflows to inf
+    (120.0, 1.0e-300),  # finite, far past any array size
+    (120.0, 1.0e-9),  # 1.2e11 samples
+    (float(MAX_SAMPLES), 1.0),  # one sample over the budget
+])
+def test_grid_sample_budget_is_enforced_at_dt(t_end, dt):
+    doc = _with(SYNTH_DOC, "grid", {"t_end": t_end, "dt": dt})
+    with pytest.raises(ConfigError, match="grid.dt: t_end/dt gives .* samples; at most") as info:
+        parse_scenario(doc)
+    assert info.value.path == "grid.dt"
+
+
+def test_grid_at_the_sample_budget_parses():
+    doc = _with(SYNTH_DOC, "grid", {"t_end": float(MAX_SAMPLES - 1), "dt": 1.0})
+    assert parse_scenario(doc).grid.n == MAX_SAMPLES
 
 
 def test_scenario_rejects_negative_inertia_via_model_validation():

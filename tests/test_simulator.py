@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncenergy.integrate import rk4_step
-from syncenergy.signals import TimeGrid
+from syncenergy.pll import PllParams, pll_run
+from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid
 from syncenergy.simulator import (
     DELTA_CAP,
     FaultSchedule,
@@ -28,6 +28,21 @@ FAULT = FaultSchedule(1.0, 1.1)
 
 
 # ---------------------------------------------------------------- rk4_step
+
+def rk4_step(f, t, y, dt):
+    """Classical RK4 step of y' = f(t, y) on a tuple state: the reference
+    the inlined loops of ``smib_simulate`` and ``pll_run`` must reproduce."""
+    half = 0.5 * dt
+    k1 = f(t, y)
+    k2 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k1)))
+    k3 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k2)))
+    k4 = f(t + dt, tuple(yi + dt * ki for yi, ki in zip(y, k3)))
+    sixth = dt / 6.0
+    return tuple(
+        yi + sixth * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
+
 
 def test_rk4_single_step_matches_series_expansion():
     """For y' = lambda y one step reproduces the degree-4 Taylor factor."""
@@ -50,6 +65,108 @@ def test_rk4_fourth_order_on_oscillator():
         err.append(abs(y[0] - 1.0) + abs(y[1]))
     order = math.log2(err[0] / err[1])
     assert order > 3.9
+
+
+def reference_swing(params, fault, grid, delta_cap=DELTA_CAP):
+    """(delta, omega_pu, diverged) by rk4_step, each step on the network of
+    the interval its start lies in."""
+    pm, d_damp, two_h, omega_n = params.Pm, params.D, 2.0 * params.H, params.omega_n
+    eps_t = 0.5 * grid.dt
+    y = (equilibrium_angle(params, "pre"), 1.0)
+    delta, omega = [y[0]], [y[1]]
+    for k in range(grid.n - 1):
+        t_k = grid.t0 + k * grid.dt
+        if fault is None or t_k + eps_t < fault.t_apply:
+            interval = "pre"
+        elif t_k + eps_t < fault.t_clear:
+            interval = "fault"
+        else:
+            interval = "post"
+        p_max = params.E * params.V_inf / params.x_total(interval)
+
+        def deriv(t, state):
+            slip = state[1] - 1.0
+            return (omega_n * slip, (pm - p_max * math.sin(state[0]) - d_damp * slip) / two_h)
+
+        y = rk4_step(deriv, t_k, y, grid.dt)
+        delta.append(y[0])
+        omega.append(y[1])
+        if abs(y[0]) > delta_cap:
+            return np.array(delta), np.array(omega), True
+    return np.array(delta), np.array(omega), False
+
+
+def reference_pll(v, params=PllParams()):
+    """(theta_hat, omega_hat) by rk4_step, the input interpolated linearly
+    to stage times and the detector held below EPS_MAG."""
+    d, q, dt = v.d, v.q, v.grid.dt
+    hold = [0.0]
+
+    def detector(vd, vq, theta):
+        mag = math.hypot(vd, vq)
+        if mag < EPS_MAG:
+            return hold[0]
+        hold[0] = (vq * math.cos(theta) - vd * math.sin(theta)) / mag
+        return hold[0]
+
+    theta_hat, omega_hat = np.empty(v.grid.n), np.empty(v.grid.n)
+    y = (0.0, 0.0)
+    for k in range(v.grid.n - 1):
+        e_now = detector(d[k], q[k], y[0])
+        theta_hat[k] = y[0]
+        omega_hat[k] = params.omega_o + params.kp * e_now + params.ki * y[1]
+        t_k = v.grid.t0 + k * dt
+
+        def deriv(t, state):
+            s = (t - t_k) / dt
+            e = detector(d[k] + s * (d[k + 1] - d[k]), q[k] + s * (q[k + 1] - q[k]), state[0])
+            return (params.kp * e + params.ki * state[1], e)
+
+        y = rk4_step(deriv, t_k, y, dt)
+    e_last = detector(d[-1], q[-1], y[0])
+    theta_hat[-1] = y[0]
+    omega_hat[-1] = params.omega_o + params.kp * e_last + params.ki * y[1]
+    return theta_hat, omega_hat
+
+
+WEAK = SmibParams(H=5.0, D=5.0, x_gen=0.3, x_line_prefault=0.8,
+                  x_line_fault=999.0, x_line_postfault=0.8)
+
+
+@pytest.mark.parametrize("params, fault, n", [
+    (PARAMS, None, 2001),
+    (PARAMS, FAULT, 3001),
+    (WEAK, FAULT, 20001),
+], ids=["no_fault", "fault", "diverged"])
+def test_simulate_is_bitwise_the_rk4_reference(params, fault, n):
+    grid = TimeGrid(0.0, 1e-3, n)
+    sim = smib_simulate(params, fault, grid)
+    delta, omega, diverged = reference_swing(params, fault, grid)
+    assert sim.diverged == diverged
+    assert sim.grid.n == delta.size
+    assert sim.delta.tobytes() == delta.tobytes()
+    assert sim.omega_pu.tobytes() == omega.tobytes()
+
+
+def _rotating():
+    grid = TimeGrid(0.0, 1e-3, 5001)
+    return ParkSeries.from_complex(grid, np.exp(1j * 0.8 * grid.times()))
+
+
+def _dropout():
+    grid = TimeGrid(0.0, 1e-3, 5001)
+    z = np.exp(0.2j) * np.ones(grid.n, dtype=complex)
+    z[2500:2600] = 0.0
+    return ParkSeries.from_complex(grid, z)
+
+
+@pytest.mark.parametrize("make_v", [_rotating, _dropout], ids=["rotating", "dropout"])
+def test_pll_is_bitwise_the_rk4_reference(make_v):
+    v = make_v()
+    trace = pll_run(v)
+    theta_hat, omega_hat = reference_pll(v)
+    assert trace.theta_hat.tobytes() == theta_hat.tobytes()
+    assert trace.omega_hat.tobytes() == omega_hat.tobytes()
 
 
 # -------------------------------------------------------------- parameters
@@ -182,10 +299,8 @@ def test_simulate_rejects_off_grid_fault_times():
 def test_simulate_truncates_on_angle_escape():
     """A fault electrically isolating a weakly tied machine drives the angle
     past the cap; the record stops there."""
-    weak = SmibParams(H=5.0, D=5.0, x_gen=0.3, x_line_prefault=0.8,
-                      x_line_fault=999.0, x_line_postfault=0.8)
     grid = TimeGrid(0.0, 1e-3, 20001)
-    sim = smib_simulate(weak, FAULT, grid)
+    sim = smib_simulate(WEAK, FAULT, grid)
     assert sim.diverged
     assert sim.grid.n < grid.n
     assert abs(sim.delta[-1]) > DELTA_CAP
