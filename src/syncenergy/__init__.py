@@ -14,7 +14,6 @@ from .signals import (
     EPS_MAG,
     CFSeries,
     ParkSeries,
-    PolarSeries,
     TimeGrid,
     complex_frequency,
     complex_power,
@@ -24,8 +23,6 @@ from .signals import (
 )
 from .energy import (
     EDGE_WIDTH,
-    ConditionalVarianceSeries,
-    TeoSeries,
     conditional_variance,
     teo_complex,
     teo_real,
@@ -40,7 +37,7 @@ from .metric import (
     se_from_cf,
     se_numeric,
 )
-from .pll import PllParams, PllTrace, pll_run
+from .pll import PllParams, pll_run
 from .simulator import (
     DELTA_CAP,
     FaultSchedule,

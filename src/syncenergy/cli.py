@@ -17,8 +17,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .config import ConfigError, load_document, parse_scenario, parse_sweep
 from .pipeline import ESTIMATORS
 from .runner import run_scenario, run_sweep, verify_scenario
@@ -106,8 +104,9 @@ def _cmd_verify(args) -> int:
 def _cmd_scenarios(args) -> int:
     for name, entry in bundled_scenarios().items():
         try:
-            doc = yaml.safe_load(entry.read_text(encoding="utf-8"))
-        except yaml.YAMLError:
+            with resources.as_file(entry) as concrete:
+                doc = load_document(concrete)
+        except ConfigError:
             doc = None
         kind = "sweep" if isinstance(doc, dict) and "sweep" in doc else "scenario"
         desc = ""

@@ -222,8 +222,7 @@ def _parse_fault(node, path: str, grid: TimeGrid) -> FaultSchedule:
     t_clear = _number(node, "t_clear", path, required=True)
     _reject_unknown(node, path)
     for label, t in (("t_apply", t_apply), ("t_clear", t_clear)):
-        steps = t / grid.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        if not grid.on_grid(t):
             raise ConfigError(_join(path, label), f"{t} is not a multiple of grid dt={grid.dt}")
         if not 0.0 < t < grid.t_end:
             raise ConfigError(_join(path, label), f"{t} lies outside the grid (0, {grid.t_end})")

@@ -38,12 +38,10 @@ in dt: the relative shortfall 1 - (sin(omega dt) / (omega dt))^2 is about
 omega = 2 pi 60 rad/s with dt = 1e-3 s.  The one-sided boundary stencils
 compose less accurately than the interior ones, so the first and last two
 samples of every operator output are "edge" samples; comparisons against
-analytic values should use ``interior()`` views.
+analytic values should use the interior ``x[EDGE_WIDTH:-EDGE_WIDTH]``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,41 +51,12 @@ from .signals import EPS_MAG, ParkSeries, TimeGrid, _as_series, differentiate
 EDGE_WIDTH = 2
 
 
-@dataclass
-class TeoSeries:
-    """TEO samples on a grid, with the boundary samples marked as edge."""
-
-    grid: TimeGrid
-    value: np.ndarray
-
-    def interior(self) -> np.ndarray:
-        """Samples unaffected by boundary stencils."""
-        return self.value[EDGE_WIDTH:-EDGE_WIDTH]
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.grid.n, dtype=bool)
-        mask[EDGE_WIDTH:-EDGE_WIDTH] = True
-        return mask
-
-
-@dataclass
-class ConditionalVarianceSeries:
-    """Conditional frequency variance of an envelope, with validity mask."""
-
-    grid: TimeGrid
-    value: np.ndarray
-    valid: np.ndarray
-
-    def interior(self) -> np.ndarray:
-        return self.value[EDGE_WIDTH:-EDGE_WIDTH]
-
-
 def _require_min_samples(n: int, who: str) -> None:
     if n < 5:
         raise ValueError(f"{who} needs at least 5 samples, got {n}")
 
 
-def teo_real(x, grid: TimeGrid) -> TeoSeries:
+def teo_real(x, grid: TimeGrid) -> np.ndarray:
     """Teager energy operator of a real sampled signal.
 
     The second derivative is obtained by differentiating twice with the
@@ -105,16 +74,16 @@ def teo_real(x, grid: TimeGrid) -> TeoSeries:
 
     Returns
     -------
-    TeoSeries
+    ndarray
     """
     _require_min_samples(grid.n, "teo_real")
     x = _as_series(x, grid.n, "x")
     xd = differentiate(x, grid)
     xdd = differentiate(xd, grid)
-    return TeoSeries(grid, xd * xd - x * xdd)
+    return xd * xd - x * xdd
 
 
-def teo_complex(x: ParkSeries) -> TeoSeries:
+def teo_complex(x: ParkSeries) -> np.ndarray:
     """Complex TEO psi_c(xbar) = |dxbar/dt|^2 - Re(d2xbar/dt2 conj(xbar)).
 
     Decomposes as psi(x_d) + psi(x_q) up to floating-point association,
@@ -125,16 +94,16 @@ def teo_complex(x: ParkSeries) -> TeoSeries:
     qd = differentiate(x.q, x.grid)
     ddd = differentiate(dd, x.grid)
     qdd = differentiate(qd, x.grid)
-    value = (dd * dd + qd * qd) - (ddd * x.d + qdd * x.q)
-    return TeoSeries(x.grid, value)
+    return (dd * dd + qd * qd) - (ddd * x.d + qdd * x.q)
 
 
-def conditional_variance(a, grid: TimeGrid) -> ConditionalVarianceSeries:
+def conditional_variance(a, grid: TimeGrid) -> np.ndarray:
     """Conditional frequency variance 0.5 [ (a'/a)^2 - a''/a ] of an envelope.
 
-    Samples with ``a <= EPS_MAG`` are flagged invalid; the envelope is
-    clamped there before dividing, so the output stays finite everywhere.
-    The value may legitimately be negative (growing envelopes).
+    The envelope is clamped at :data:`EPS_MAG` before dividing, so the
+    output stays finite everywhere; samples with ``a <= EPS_MAG`` carry no
+    measurement, and :func:`syncenergy.metric.se_from_cf` flags them
+    invalid.  The value may legitimately be negative (growing envelopes).
 
     Parameters
     ----------
@@ -144,14 +113,12 @@ def conditional_variance(a, grid: TimeGrid) -> ConditionalVarianceSeries:
 
     Returns
     -------
-    ConditionalVarianceSeries
+    ndarray
     """
     _require_min_samples(grid.n, "conditional_variance")
     a = _as_series(a, grid.n, "a")
-    valid = a > EPS_MAG
     safe = np.maximum(a, EPS_MAG)
     ad = differentiate(a, grid)
     add = differentiate(ad, grid)
     ratio = ad / safe
-    value = 0.5 * (ratio * ratio - add / safe)
-    return ConditionalVarianceSeries(grid, value, valid)
+    return 0.5 * (ratio * ratio - add / safe)

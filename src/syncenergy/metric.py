@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EDGE_WIDTH, TeoSeries, conditional_variance, teo_real
+from .energy import EDGE_WIDTH, conditional_variance, teo_real
 from .signals import EPS_MAG, CFSeries, ParkSeries, TimeGrid, _require_same_grid
 
 # grid steps always skipped next to a switching instant, so derivative
@@ -49,16 +49,14 @@ class SESeries:
     """Synchronization energy with its two additive components.
 
     ``psi = freq_term + var_term`` holds exactly by construction;
-    ``sigma2_s`` is the summed conditional variance and ``s_mag2`` the
-    squared magnitude of the complex power.  ``valid`` is False where any
-    ingredient was degenerate.
+    ``s_mag2`` is the squared magnitude of the complex power.  ``valid``
+    is False where any ingredient was degenerate.
     """
 
     grid: TimeGrid
     psi: np.ndarray
     freq_term: np.ndarray
     var_term: np.ndarray
-    sigma2_s: np.ndarray
     s_mag2: np.ndarray
     valid: np.ndarray
 
@@ -148,6 +146,8 @@ def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
     ``(omega_v - omega_i)^2 2|s|^2`` plus the amplitude-variance term
     ``(var_omega_v + var_omega_i) 2|s|^2``, with the variances computed
     from the same envelopes that produced the complex frequencies.
+    Samples where either envelope is at or below :data:`EPS_MAG`, or |s|
+    at or below ``EPS_MAG**2``, are flagged invalid.
 
     Parameters
     ----------
@@ -167,32 +167,27 @@ def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
     var_i = conditional_variance(cf_i.magnitude, grid)
     s_mag2 = s.d * s.d + s.q * s.q
     dw = cf_v.omega - cf_i.omega
-    sigma2_s = var_v.value + var_i.value
     freq_term = dw * dw * 2.0 * s_mag2
-    var_term = sigma2_s * 2.0 * s_mag2
+    var_term = (var_v + var_i) * 2.0 * s_mag2
     valid = (
-        cf_v.valid
-        & cf_i.valid
-        & var_v.valid
-        & var_i.valid
+        (cf_v.magnitude > EPS_MAG)
+        & (cf_i.magnitude > EPS_MAG)
         & (s_mag2 > (EPS_MAG**2) ** 2)
     )
-    return SESeries(grid, freq_term + var_term, freq_term, var_term, sigma2_s, s_mag2, valid)
+    return SESeries(grid, freq_term + var_term, freq_term, var_term, s_mag2, valid)
 
 
-def se_numeric(p, q, grid: TimeGrid) -> TeoSeries:
+def se_numeric(p, q, grid: TimeGrid) -> np.ndarray:
     """Synchronization energy estimated directly as psi(p) + psi(q).
 
     No polar decomposition is involved; this is the reference the
     closed-form route is checked against.
     """
-    psi_p = teo_real(p, grid)
-    psi_q = teo_real(q, grid)
-    return TeoSeries(grid, psi_p.value + psi_q.value)
+    return teo_real(p, grid) + teo_real(q, grid)
 
 
 def normalized_se(se: SESeries) -> np.ndarray:
-    """SE divided by 2|s|^2, i.e. (omega_v - omega_i)^2 + sigma2_s.
+    """SE divided by 2|s|^2: (omega_v - omega_i)^2 + var_omega_v + var_omega_i.
 
     The result is independent of the power level and has units of
     rad^2/s^2.  Samples flagged invalid in ``se`` come out as NaN.

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import TeoSeries
 from .metric import SESeries, normalized_se, se_from_cf, se_numeric
 from .pll import PllParams, pll_run
 from .signals import CFSeries, ParkSeries, _as_series, complex_frequency, complex_power
@@ -32,15 +31,13 @@ ESTIMATORS = ("fd", "pll")
 
 @dataclass
 class AnalysisResult:
-    """Everything derived from one (v, i) pair."""
+    """Everything derived from one (v, i) pair; ``s`` is v conj(i)."""
 
-    v: ParkSeries
-    i: ParkSeries
     s: ParkSeries
     cf_v: CFSeries
     cf_i: CFSeries
     se: SESeries
-    psi_numeric: TeoSeries
+    psi_numeric: np.ndarray
     normalized: np.ndarray
 
 
@@ -90,8 +87,8 @@ def analyze(
         cf_i = complex_frequency(i)
         if estimator == "pll":
             params = pll_params if pll_params is not None else PllParams()
-            cf_v.omega = pll_run(v, params).omega_hat - params.omega_o
-            cf_i.omega = pll_run(i, params).omega_hat - params.omega_o
+            cf_v.omega = pll_run(v, params)[1] - params.omega_o
+            cf_i.omega = pll_run(i, params)[1] - params.omega_o
         se = se_from_cf(cf_v, cf_i, s)
         psi_numeric = se_numeric(s.d, s.q, s.grid)
         normalized = normalized_se(se)
@@ -101,10 +98,10 @@ def analyze(
         ("rho_i", cf_i.rho),
         ("omega_i", cf_i.omega),
         ("psi_cf", se.psi),
-        ("psi_numeric", psi_numeric.value),
+        ("psi_numeric", psi_numeric),
     ):
         _as_series(x, s.grid.n, name)
-    return AnalysisResult(v, i, s, cf_v, cf_i, se, psi_numeric, normalized)
+    return AnalysisResult(s, cf_v, cf_i, se, psi_numeric, normalized)
 
 
 def identity_gap(
@@ -131,9 +128,9 @@ def identity_gap(
     n = int(np.count_nonzero(mask))
     if n == 0:
         return IdentityReport(math.nan, math.nan, math.nan, 0)
-    gap = np.abs(se.psi[mask] - result.psi_numeric.value[mask])
+    gap = np.abs(se.psi[mask] - result.psi_numeric[mask])
     max_abs = float(np.max(gap))
-    scale = float(np.max(np.abs(result.psi_numeric.value[mask])))
+    scale = float(np.max(np.abs(result.psi_numeric[mask])))
     if scale > 0.0:
         rel = max_abs / scale
     else:

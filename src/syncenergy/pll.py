@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import EPS_MAG, ParkSeries, TimeGrid
+from .signals import EPS_MAG, ParkSeries
 
 
 @dataclass(frozen=True)
@@ -49,23 +49,16 @@ class PllParams:
             raise ValueError(f"omega_o must be non-negative, got {self.omega_o}")
 
 
-@dataclass
-class PllTrace:
-    """Tracked phase (frame-relative, rad) and absolute speed (rad/s)."""
-
-    grid: TimeGrid
-    theta_hat: np.ndarray
-    omega_hat: np.ndarray
-
-
-def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> PllTrace:
+def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> tuple[np.ndarray, np.ndarray]:
     """Track a voltage Park vector; start from theta = 0, empty integrator.
 
     Returns
     -------
-    PllTrace
-        ``theta_hat`` is continuous (never wrapped); ``omega_hat`` is
-        ``omega_o`` plus the loop-filter output at each sample.
+    theta_hat : ndarray
+        Tracked phase (frame-relative, rad), continuous (never wrapped).
+    omega_hat : ndarray
+        Absolute speed (rad/s): ``omega_o`` plus the loop-filter output at
+        each sample.
     """
     grid = v.grid
     d, q = v.d.tolist(), v.q.tolist()
@@ -118,4 +111,4 @@ def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> PllTrace:
     e = held if mag < EPS_MAG else (q[-1] * cos(theta) - d[-1] * sin(theta)) / mag
     theta_hat[-1] = theta
     omega_hat[-1] = omega_o + kp * e + ki * xi
-    return PllTrace(grid, theta_hat, omega_hat)
+    return theta_hat, omega_hat

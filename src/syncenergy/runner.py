@@ -22,7 +22,7 @@ from .config import CSV_COLUMNS, ConfigError, ScenarioConfig, SweepConfig, apply
 from .metric import SyncStatus, SyncVerdict, classify_sync
 from .pipeline import AnalysisResult, IdentityReport, analyze, identity_gap
 from .simulator import smib_simulate, synthetic_signal
-from .signals import TimeGrid, complex_power
+from .signals import TimeGrid
 
 
 @dataclass
@@ -66,13 +66,12 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioRun:
     if config.kind == "smib":
         sim = smib_simulate(config.smib, config.fault, config.grid)
         grid = sim.grid
-        v, i, s = sim.v_bus, sim.i_inj, sim.s_inj
+        v, i = sim.v_bus, sim.i_inj
         delta, omega_pu = sim.delta, sim.omega_pu
         diverged = sim.diverged
     else:
         v, i = synthetic_signal(config.synthetic)
         grid = config.grid
-        s = complex_power(v, i)
         delta = np.full(grid.n, math.nan)
         omega_pu = np.full(grid.n, math.nan)
         diverged = False
@@ -101,14 +100,14 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioRun:
         "v_q": v.q,
         "i_d": i.d,
         "i_q": i.q,
-        "p": s.d,
-        "q": s.q,
+        "p": analysis.s.d,
+        "q": analysis.s.q,
         "rho_v": analysis.cf_v.rho,
         "omega_v": analysis.cf_v.omega,
         "rho_i": analysis.cf_i.rho,
         "omega_i": analysis.cf_i.omega,
         "psi_cf": analysis.se.psi,
-        "psi_numeric": analysis.psi_numeric.value,
+        "psi_numeric": analysis.psi_numeric,
         "psi_normalized": analysis.normalized,
         "freq_term": analysis.se.freq_term,
         "var_term": analysis.se.var_term,
@@ -140,12 +139,12 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
 
 def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     """Write selected columns as CSV; floats via repr (exact round-trip)."""
-    arrays = [columns[name] for name in order]
+    # csv formats Python floats by repr, numpy scalars by numpy's print options
+    rows = zip(*(map(float, columns[name]) for name in order))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(order)
-        for row in zip(*arrays):
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(rows)
 
 
 def read_series_csv(path) -> dict:

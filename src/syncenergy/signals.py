@@ -53,6 +53,11 @@ class TimeGrid:
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.n - 1)
 
+    def on_grid(self, t: float) -> bool:
+        """Whether ``t`` lies a whole number of steps from t0 (to 1e-9 relative)."""
+        steps = (t - self.t0) / self.dt
+        return abs(steps - round(steps)) <= 1e-9 * max(1.0, abs(steps))
+
     def index_at(self, t: float) -> int:
         """Index of the grid sample nearest to time ``t`` (clipped to range)."""
         k = int(round((t - self.t0) / self.dt))
@@ -95,21 +100,6 @@ class ParkSeries:
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.d, self.q)
-
-
-@dataclass
-class PolarSeries:
-    """Magnitude/phase form of a Park vector with degeneracy bookkeeping.
-
-    ``phase`` is unwrapped (no 2 pi jumps).  Samples whose magnitude falls
-    below :data:`EPS_MAG` are marked ``degenerate``; their phase is carried
-    over from the nearest valid sample rather than taken from atan2 noise.
-    """
-
-    grid: TimeGrid
-    magnitude: np.ndarray
-    phase: np.ndarray
-    degenerate: np.ndarray
 
 
 @dataclass
@@ -192,13 +182,14 @@ def differentiate(x, grid: TimeGrid) -> np.ndarray:
     return out
 
 
-def polar_decompose(x: ParkSeries) -> PolarSeries:
-    """Split a Park vector into magnitude and unwrapped phase.
+def polar_decompose(x: ParkSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a Park vector into ``(magnitude, phase, degenerate)``.
 
-    Samples with magnitude below :data:`EPS_MAG` are flagged degenerate and
-    take the phase of the last preceding valid sample (leading degenerate
-    samples borrow from the first valid one).  If every sample is
-    degenerate the phase is identically zero.
+    ``phase`` is unwrapped (no 2 pi jumps).  Samples with magnitude below
+    :data:`EPS_MAG` are flagged ``degenerate`` and take the phase of the
+    last preceding valid sample rather than atan2 noise (leading
+    degenerate samples borrow from the first valid one).  If every sample
+    is degenerate the phase is identically zero.
     """
     mag = np.hypot(x.d, x.q)
     degenerate = mag < EPS_MAG
@@ -213,7 +204,7 @@ def polar_decompose(x: ParkSeries) -> PolarSeries:
             first_valid = idx[~degenerate][0]
             src[src < 0] = first_valid
             raw = raw[src]
-    return PolarSeries(x.grid, mag, unwrap_phase(raw), degenerate)
+    return mag, unwrap_phase(raw), degenerate
 
 
 def complex_frequency(x: ParkSeries) -> CFSeries:
@@ -230,11 +221,11 @@ def complex_frequency(x: ParkSeries) -> CFSeries:
     CFSeries
         rho, omega, the source magnitude, and the validity mask.
     """
-    polar = polar_decompose(x)
-    safe_mag = np.maximum(polar.magnitude, EPS_MAG)
+    mag, phase, degenerate = polar_decompose(x)
+    safe_mag = np.maximum(mag, EPS_MAG)
     rho = differentiate(np.log(safe_mag), x.grid)
-    omega = differentiate(polar.phase, x.grid)
-    return CFSeries(x.grid, rho, omega, polar.magnitude, ~polar.degenerate)
+    omega = differentiate(phase, x.grid)
+    return CFSeries(x.grid, rho, omega, mag, ~degenerate)
 
 
 def complex_power(v: ParkSeries, i: ParkSeries) -> ParkSeries:

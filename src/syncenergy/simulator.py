@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ParkSeries, TimeGrid, complex_power
+from .signals import ParkSeries, TimeGrid
 
 # rotor angle magnitude (rad) beyond which a run counts as diverged
 DELTA_CAP = 10.0 * 2.0 * math.pi
@@ -107,7 +107,6 @@ class SimResult:
     omega_pu: np.ndarray
     v_bus: ParkSeries
     i_inj: ParkSeries
-    s_inj: ParkSeries
     diverged: bool
 
 
@@ -159,8 +158,7 @@ def smib_eigenvalues(params: SmibParams, delta_eq: float) -> SmibEigenvalues:
 
 
 def _check_on_grid(t: float, grid: TimeGrid, name: str) -> None:
-    steps = (t - grid.t0) / grid.dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+    if not grid.on_grid(t):
         raise ValueError(f"{name}={t} does not fall on a grid sample (dt={grid.dt})")
     if not grid.t0 <= t <= grid.t_end:
         raise ValueError(f"{name}={t} lies outside the grid [{grid.t0}, {grid.t_end}]")
@@ -254,7 +252,7 @@ def smib_simulate(
     v_cplx = emf - 1j * params.x_gen * i_cplx
     v_bus = ParkSeries.from_complex(out_grid, v_cplx)
     i_inj = ParkSeries.from_complex(out_grid, i_cplx)
-    return SimResult(out_grid, delta, omega, v_bus, i_inj, complex_power(v_bus, i_inj), diverged)
+    return SimResult(out_grid, delta, omega, v_bus, i_inj, diverged)
 
 
 def swing_energy(params: SmibParams, delta, omega_pu, interval: str = "pre") -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from syncenergy.config import load_sweep
-from syncenergy.energy import conditional_variance, teo_complex, teo_real
+from syncenergy.energy import EDGE_WIDTH, conditional_variance, teo_complex, teo_real
 from syncenergy.metric import SyncStatus
 from syncenergy.pll import PllParams, pll_run
 from syncenergy.runner import (execute_scenario, run_sweep, verify_scenario,
@@ -67,7 +67,7 @@ def _assessed(se):
 def _sinusoid_teo(amp, w0, dt):
     """Interior TEO of A cos(w t) sampled at dt over a 2 s horizon."""
     grid = TimeGrid(0.0, dt, int(round(2.0 / dt)) + 1)
-    return teo_real(amp * np.cos(w0 * grid.times()), grid).interior()
+    return teo_real(amp * np.cos(w0 * grid.times()), grid)[EDGE_WIDTH:-EDGE_WIDTH]
 
 
 def _rel_err(values, ref):
@@ -105,7 +105,7 @@ def test_01_teo_closed_form_identities(capsys):
     grid = TimeGrid(0.0, dt, 2001)
     t = grid.times()
     for alpha in (0.5, 1.0, 5.0):
-        worst = float(np.max(np.abs(teo_real(np.exp(-alpha * t), grid).interior())))
+        worst = float(np.max(np.abs(teo_real(np.exp(-alpha * t), grid)[EDGE_WIDTH:-EDGE_WIDTH])))
         if worst > 1e-5 * alpha * alpha:
             failures.append(f"alpha={alpha:g}: abs {worst:.3e}")
     detail = (f"60 Hz rel error to A^2 w^2 {bias60:.3e} at dt=1e-3, "
@@ -129,8 +129,8 @@ def test_02_complex_teo_decomposes_into_components(capsys):
     worst = 0.0
     for _ in range(100):
         d, q = smooth(), smooth()
-        combined = teo_complex(ParkSeries(grid, d, q)).interior()
-        split = (teo_real(d, grid).value + teo_real(q, grid).value)[2:-2]
+        combined = teo_complex(ParkSeries(grid, d, q))[EDGE_WIDTH:-EDGE_WIDTH]
+        split = (teo_real(d, grid) + teo_real(q, grid))[2:-2]
         worst = max(worst, float(np.max(np.abs(combined - split)) / np.max(np.abs(combined))))
     _report(capsys, 2, "complex operator decomposition", worst <= 1e-12,
             f"worst relative gap {worst:.3e} (bound 1e-12)")
@@ -153,11 +153,11 @@ def test_04_envelope_variance_closed_forms(capsys):
     t = grid.times()
     worst_rel = 0.0
     for alpha in (0.5, 1.0, 2.0):
-        vals = conditional_variance(np.exp(-0.5 * alpha * t * t), grid).interior()
+        vals = conditional_variance(np.exp(-0.5 * alpha * t * t), grid)[EDGE_WIDTH:-EDGE_WIDTH]
         worst_rel = max(worst_rel, float(np.max(np.abs(vals - alpha / 2.0)) / (alpha / 2.0)))
     worst_abs = 0.0
     for alpha in (0.5, 1.0, 5.0):
-        vals = conditional_variance(np.exp(-alpha * t), grid).interior()
+        vals = conditional_variance(np.exp(-alpha * t), grid)[EDGE_WIDTH:-EDGE_WIDTH]
         worst_abs = max(worst_abs, float(np.max(np.abs(vals))))
     ok = worst_rel <= 1e-4 and worst_abs <= 1e-8
     _report(capsys, 4, "envelope variance closed forms", ok,
@@ -254,7 +254,7 @@ def test_10_pll_matches_finite_differences_when_settled(capsys):
     for phi0, dw in ((0.3, 0.0), (0.0, 0.8)):
         x = ParkSeries.from_complex(grid, np.exp(1j * (phi0 + dw * t)))
         fd = complex_frequency(x).omega
-        pll = pll_run(x, params).omega_hat - params.omega_o
+        pll = pll_run(x, params)[1] - params.omega_o
         settled = slice(grid.index_at(4.0), grid.n - 2)
         worst = max(worst, float(np.max(np.abs(pll[settled] - fd[settled]))))
     _report(capsys, 10, "loop frequency agreement", worst <= 1e-3,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncenergy.energy import EDGE_WIDTH
 from syncenergy.metric import (
     ClassifierPolicy,
     SESeries,
@@ -15,7 +16,7 @@ from syncenergy.metric import (
     se_numeric,
 )
 from syncenergy.pipeline import analyze
-from syncenergy.signals import TimeGrid, complex_frequency, complex_power
+from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid, complex_frequency, complex_power
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
 
 GRID = TimeGrid(0.0, 1e-3, 2001)
@@ -33,7 +34,7 @@ def _se_of(psi, grid, valid=None):
     zeros = np.zeros_like(psi)
     if valid is None:
         valid = np.ones(grid.n, dtype=bool)
-    return SESeries(grid, psi, psi.copy(), zeros, zeros, np.full(grid.n, 0.5), valid)
+    return SESeries(grid, psi, psi.copy(), zeros, np.full(grid.n, 0.5), valid)
 
 
 # ---------------------------------------------------------------- se_from_cf
@@ -67,8 +68,8 @@ def test_se_agrees_with_direct_teo_route():
     res = _analyze_template(
         template="amplitude_modulated", mod_depth=0.3, mod_freq=3.0
     )
-    gap = np.abs(res.se.psi[2:-2] - res.psi_numeric.value[2:-2])
-    scale = np.max(np.abs(res.psi_numeric.value[2:-2]))
+    gap = np.abs(res.se.psi[2:-2] - res.psi_numeric[2:-2])
+    scale = np.max(np.abs(res.psi_numeric[2:-2]))
     assert np.max(gap) / scale < 1e-4
 
 
@@ -78,6 +79,21 @@ def test_se_rejects_mismatched_grids():
     v2, i2 = synthetic_signal(SyntheticSpec(template="constant_phasor", grid=other))
     with pytest.raises(ValueError, match="same grid"):
         se_from_cf(complex_frequency(v), complex_frequency(i2), complex_power(v, i))
+
+
+def test_se_flags_envelope_dropout_but_stays_finite():
+    """|v| below EPS_MAG on a window: invalid exactly there, psi finite everywhere.
+
+    |s| = |v| stays above EPS_MAG**2, so the envelope rule alone flags it."""
+    spec = SyntheticSpec(template="dual_frequency", grid=GRID, omega1=2.0, omega2=1.0)
+    v, i = synthetic_signal(spec)
+    dropout = np.zeros(GRID.n, dtype=bool)
+    dropout[100:120] = True
+    scale = np.where(dropout, 0.5 * EPS_MAG, 1.0)
+    v = ParkSeries(GRID, v.d * scale, v.q * scale)
+    se = se_from_cf(complex_frequency(v), complex_frequency(i), complex_power(v, i))
+    np.testing.assert_array_equal(se.valid, ~dropout)
+    assert np.isfinite(se.psi).all()
 
 
 def test_normalized_se_strips_power_scale():
@@ -99,7 +115,7 @@ def test_se_numeric_of_constant_power_is_zero():
     """Exact zeros on the interior; the one-sided edge stencils may keep
     representation residue of order 1e-13."""
     psi = se_numeric(np.full(GRID.n, 0.9), np.full(GRID.n, -0.1), GRID)
-    np.testing.assert_array_equal(psi.interior(), 0.0)
+    np.testing.assert_array_equal(psi[EDGE_WIDTH:-EDGE_WIDTH], 0.0)
 
 
 # ---------------------------------------------------------- ClassifierPolicy

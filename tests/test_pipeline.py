@@ -25,7 +25,7 @@ def test_analyze_produces_consistent_shapes():
     v, i = _pair(template="dual_frequency", omega1=2.0, omega2=1.0)
     res = analyze(v, i)
     n = GRID.n
-    for arr in (res.se.psi, res.psi_numeric.value, res.normalized,
+    for arr in (res.se.psi, res.psi_numeric, res.normalized,
                 res.cf_v.omega, res.cf_i.rho, res.s.d):
         assert arr.shape == (n,)
 
@@ -49,7 +49,7 @@ def test_identity_gap_respects_exclusion_windows():
     """Corrupting samples inside an excluded window must not affect the gap."""
     v, i = _pair(template="dual_frequency", omega1=2.0, omega2=1.0)
     res = analyze(v, i)
-    res.psi_numeric.value[2000] += 99.0
+    res.psi_numeric[2000] += 99.0
     t_bad = GRID.times()[2000]
     full = identity_gap(res)
     masked = identity_gap(res, exclude=((t_bad - 0.005, t_bad + 0.005),))

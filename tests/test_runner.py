@@ -110,6 +110,14 @@ def test_series_csv_roundtrip_is_exact(tmp_path):
         )
 
 
+def test_series_csv_ignores_numpy_print_options(tmp_path):
+    """Floats are written by repr, not by numpy's str, which follows print options."""
+    path = tmp_path / "legacy.csv"
+    with np.printoptions(legacy="1.13"):
+        write_series_csv(path, {"t": np.array([0.1 + 0.2, 1.0 / 3.0])}, ("t",))
+    assert path.read_text(encoding="utf-8") == "t\n0.30000000000000004\n0.3333333333333333\n"
+
+
 def test_series_csv_respects_column_selection(tmp_path):
     run = execute_scenario(parse_scenario(TONE_DOC))
     path = tmp_path / "slim.csv"

@@ -38,6 +38,16 @@ def test_grid_index_at_rounds_and_clips():
     assert g.index_at(99.0) == 10
 
 
+def test_grid_on_grid_is_relative_to_t0_and_step_count():
+    """Whole steps from t0 pass within 1e-9 relative; the range is not checked."""
+    g = TimeGrid(0.25, 1e-3, 101)
+    assert g.on_grid(0.25) and g.on_grid(0.3) and g.on_grid(5.0)
+    assert not g.on_grid(0.2505)
+    # 50 steps allow 5e-8 of a step, 1e6 steps allow 1e-3 of one
+    assert g.on_grid(0.3 + 1e-14) and not g.on_grid(0.3 + 1e-10)
+    assert g.on_grid(1e3 + 0.25 + 1e-7) and not g.on_grid(1e3 + 0.25 + 1e-5)
+
+
 def test_grid_rejects_bad_step_and_size():
     with pytest.raises(ValueError, match="positive"):
         TimeGrid(0.0, 0.0, 10)
@@ -131,34 +141,34 @@ def test_differentiate_rejects_wrong_length():
 def test_polar_matches_cartesian_input():
     t = GRID.times()
     z = (2.0 + 0.1 * t) * np.exp(1j * (0.3 + 1.7 * t))
-    polar = polar_decompose(ParkSeries.from_complex(GRID, z))
-    np.testing.assert_allclose(polar.magnitude, 2.0 + 0.1 * t, rtol=1e-14)
-    np.testing.assert_allclose(polar.phase, 0.3 + 1.7 * t, rtol=0, atol=1e-12)
-    assert not polar.degenerate.any()
+    magnitude, phase, degenerate = polar_decompose(ParkSeries.from_complex(GRID, z))
+    np.testing.assert_allclose(magnitude, 2.0 + 0.1 * t, rtol=1e-14)
+    np.testing.assert_allclose(phase, 0.3 + 1.7 * t, rtol=0, atol=1e-12)
+    assert not degenerate.any()
 
 
 def test_polar_degenerate_samples_carry_previous_phase():
     g = TimeGrid(0.0, 1.0, 6)
     d = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
     q = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 1.0])
-    polar = polar_decompose(ParkSeries(g, d, q))
-    np.testing.assert_array_equal(polar.degenerate, [0, 0, 1, 1, 1, 0])
-    np.testing.assert_allclose(polar.phase, np.pi / 4.0, rtol=1e-14)
+    magnitude, phase, degenerate = polar_decompose(ParkSeries(g, d, q))
+    np.testing.assert_array_equal(degenerate, [0, 0, 1, 1, 1, 0])
+    np.testing.assert_allclose(phase, np.pi / 4.0, rtol=1e-14)
 
 
 def test_polar_leading_degenerate_borrows_first_valid_phase():
     g = TimeGrid(0.0, 1.0, 5)
     d = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
-    polar = polar_decompose(ParkSeries(g, d, np.zeros(5)))
-    np.testing.assert_array_equal(polar.degenerate, [1, 1, 1, 0, 0])
-    np.testing.assert_allclose(polar.phase, 0.0, rtol=0, atol=1e-15)
+    magnitude, phase, degenerate = polar_decompose(ParkSeries(g, d, np.zeros(5)))
+    np.testing.assert_array_equal(degenerate, [1, 1, 1, 0, 0])
+    np.testing.assert_allclose(phase, 0.0, rtol=0, atol=1e-15)
 
 
 def test_polar_all_degenerate_phase_is_zero():
     g = TimeGrid(0.0, 1.0, 5)
-    polar = polar_decompose(ParkSeries(g, np.zeros(5), np.zeros(5)))
-    assert polar.degenerate.all()
-    np.testing.assert_array_equal(polar.phase, np.zeros(5))
+    magnitude, phase, degenerate = polar_decompose(ParkSeries(g, np.zeros(5), np.zeros(5)))
+    assert degenerate.all()
+    np.testing.assert_array_equal(phase, np.zeros(5))
 
 
 # ------------------------------------------------------- complex_frequency

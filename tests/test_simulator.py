@@ -163,10 +163,10 @@ def _dropout():
 @pytest.mark.parametrize("make_v", [_rotating, _dropout], ids=["rotating", "dropout"])
 def test_pll_is_bitwise_the_rk4_reference(make_v):
     v = make_v()
-    trace = pll_run(v)
-    theta_hat, omega_hat = reference_pll(v)
-    assert trace.theta_hat.tobytes() == theta_hat.tobytes()
-    assert trace.omega_hat.tobytes() == omega_hat.tobytes()
+    theta_hat, omega_hat = pll_run(v)
+    theta_ref, omega_ref = reference_pll(v)
+    assert theta_hat.tobytes() == theta_ref.tobytes()
+    assert omega_hat.tobytes() == omega_ref.tobytes()
 
 
 # -------------------------------------------------------------- parameters
