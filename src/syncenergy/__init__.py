@@ -42,11 +42,9 @@ from .simulator import (
     DELTA_CAP,
     FaultSchedule,
     SimResult,
-    SmibEigenvalues,
     SmibParams,
     SyntheticSpec,
     equilibrium_angle,
-    smib_eigenvalues,
     smib_simulate,
     swing_energy,
     synthetic_signal,

@@ -2,7 +2,8 @@
 
 A scenario is a single YAML document with the sections
 
-    name:        identifier used for output files
+    name:        identifier used for output files; a file name, so not
+                 empty, . or .., and without /, \\ or NUL
     description: free text
     system:      kind: smib | synthetic, plus model fields
     fault:       t_apply / t_clear (smib only, optional)
@@ -15,14 +16,18 @@ naming one numeric field (dotted path) and the values to scan.
 
 Validation is strict: unknown keys anywhere are rejected, and every
 error carries the dotted path of the offending field so callers can
-report ``config error at system.H: ...``.
+report ``config error at system.H: ...``.  The model sections read the
+fields of their dataclasses (SmibParams, SyntheticSpec, FaultSchedule,
+ClassifierPolicy), and an absent optional key takes the dataclass's
+own default, so each default lives only on its dataclass.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -58,20 +63,6 @@ CSV_COLUMNS = (
 # most samples a grid may ask for: an analysed sample holds about 220 bytes
 MAX_SAMPLES = 10**7
 
-_SYNTH_FIELDS = (
-    "v_mag",
-    "i_mag",
-    "v_phase",
-    "i_phase",
-    "omega1",
-    "omega2",
-    "mod_depth",
-    "mod_freq",
-    "drift_rate",
-    "envelope_rate",
-)
-
-
 class ConfigError(ValueError):
     """Invalid configuration; ``path`` is the dotted field location."""
 
@@ -106,10 +97,9 @@ def _number(node: dict, key: str, path: str, default=None, required: bool = Fals
     value = node.pop(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # compares ints exactly, where float() overflows
         raise ConfigError(_join(path, key), "must be finite")
-    return value
+    return float(value)
 
 
 def _string(node: dict, key: str, path: str, default=None, required: bool = False) -> str:
@@ -127,6 +117,27 @@ def _choice(value: str, allowed: tuple, path: str) -> str:
     if value not in allowed:
         raise ConfigError(path, f"expected one of {', '.join(allowed)}, got {value!r}")
     return value
+
+
+def _read_fields(cls, node: dict, path: str, skip: tuple = ()) -> dict:
+    """Numeric fields of dataclass ``cls`` in declared order; absent optional ones are left out."""
+    values = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        required = f.default is MISSING and f.default_factory is MISSING
+        value = _number(node, f.name, path, required=required)
+        if value is not None:
+            values[f.name] = value
+    return values
+
+
+def _build(cls, path: str, values: dict):
+    """Construct ``cls``, reporting its own validation errors at ``path``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 @dataclass
@@ -183,70 +194,41 @@ def _parse_smib(node: dict, path: str) -> SmibParams:
     scale = _number(node, "x_line_scale", path, default=1.0)
     if scale <= 0.0:
         raise ConfigError(_join(path, "x_line_scale"), "must be positive")
-    fields = {
-        "H": _number(node, "H", path, required=True),
-        "D": _number(node, "D", path, required=True),
-        "x_gen": _number(node, "x_gen", path, required=True),
-        "x_line_prefault": scale * _number(node, "x_line_prefault", path, required=True),
-        "x_line_fault": _number(node, "x_line_fault", path, required=True),
-        "x_line_postfault": scale * _number(node, "x_line_postfault", path, required=True),
-        "E": _number(node, "E", path, default=1.1),
-        "V_inf": _number(node, "V_inf", path, default=1.0),
-        "Pm": _number(node, "Pm", path, default=0.9),
-        "omega_n": 2.0 * math.pi * _number(node, "f_nominal", path, default=60.0),
-    }
+    values = _read_fields(SmibParams, node, path, skip=("omega_n",))
+    values["x_line_prefault"] *= scale
+    values["x_line_postfault"] *= scale
+    f_nominal = _number(node, "f_nominal", path)
+    if f_nominal is not None:
+        values["omega_n"] = 2.0 * math.pi * f_nominal
     _reject_unknown(node, path)
-    try:
-        return SmibParams(**fields)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _build(SmibParams, path, values)
 
 
 def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
     template = _string(node, "template", path, required=True)
-    fields = {}
-    for key in _SYNTH_FIELDS:
-        value = _number(node, key, path)
-        if value is not None:
-            fields[key] = value
+    values = _read_fields(SyntheticSpec, node, path, skip=("template", "grid"))
     _reject_unknown(node, path)
-    try:
-        return SyntheticSpec(template=template, grid=grid, **fields)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _build(SyntheticSpec, path, dict(values, template=template, grid=grid))
 
 
 def _parse_fault(node, path: str, grid: TimeGrid) -> FaultSchedule:
     node = _mapping(node, path)
-    t_apply = _number(node, "t_apply", path, required=True)
-    t_clear = _number(node, "t_clear", path, required=True)
+    values = _read_fields(FaultSchedule, node, path)
     _reject_unknown(node, path)
-    for label, t in (("t_apply", t_apply), ("t_clear", t_clear)):
+    for label, t in values.items():
         if not grid.on_grid(t):
             raise ConfigError(_join(path, label), f"{t} is not a multiple of grid dt={grid.dt}")
         if not 0.0 < t < grid.t_end:
             raise ConfigError(_join(path, label), f"{t} lies outside the grid (0, {grid.t_end})")
-    try:
-        return FaultSchedule(t_apply, t_clear)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _build(FaultSchedule, path, values)
 
 
 def _parse_policy(node, path: str, disturbance_default: float | None) -> ClassifierPolicy:
     node = _mapping(node, path)
-    fields = {
-        "eps_sync": _number(node, "eps_sync", path, default=1e-6),
-        "tail_window": _number(node, "tail_window", path, default=1.0),
-        "divergence_cap": _number(node, "divergence_cap", path, default=1e6),
-        "growth_factor": _number(node, "growth_factor", path, default=10.0),
-        "guard": _number(node, "guard", path, default=0.01),
-        "disturbance_end": _number(node, "disturbance_end", path, default=disturbance_default),
-    }
+    values = _read_fields(ClassifierPolicy, node, path)
+    values.setdefault("disturbance_end", disturbance_default)
     _reject_unknown(node, path)
-    try:
-        return ClassifierPolicy(**fields)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _build(ClassifierPolicy, path, values)
 
 
 def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
@@ -261,6 +243,10 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     if not top:
         raise ConfigError("", f"{source} is empty")
     name = _string(top, "name", "", required=True)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigError(
+            "name", f"must be a file name: not empty, . or .., and without /, \\ or NUL; got {name!r}"
+        )
     description = _string(top, "description", "", default="")
     system = _mapping(top.pop("system", None), "system")
     if not system:
@@ -279,10 +265,9 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
             raise ConfigError("fault", "synthetic scenarios take no fault section")
 
     analysis = _mapping(top.pop("analysis", None), "analysis")
-    estimator = _choice(
-        _string(analysis, "estimator", "analysis", default="fd"), ESTIMATORS, "analysis.estimator"
-    )
-    max_gap = _number(analysis, "max_identity_gap", "analysis", default=0.01)
+    estimator = _string(analysis, "estimator", "analysis", default=ScenarioConfig.estimator)
+    _choice(estimator, ESTIMATORS, "analysis.estimator")
+    max_gap = _number(analysis, "max_identity_gap", "analysis", default=ScenarioConfig.max_identity_gap)
     if max_gap <= 0.0:
         raise ConfigError("analysis.max_identity_gap", "must be positive")
     disturbance_default = fault.t_clear if fault is not None else None
@@ -290,7 +275,7 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     _reject_unknown(analysis, "analysis")
 
     output = _mapping(top.pop("output", None), "output")
-    columns = CSV_COLUMNS
+    columns = ScenarioConfig.columns
     if "columns" in output:
         raw = output.pop("columns")
         if not isinstance(raw, list) or not raw:
@@ -331,7 +316,8 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
         raise ConfigError("sweep.values", "expected a non-empty list of numbers")
     values = []
     for k, value in enumerate(raw_values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not abs(value) <= sys.float_info.max:
             raise ConfigError(f"sweep.values[{k}]", f"expected a finite number, got {value!r}")
         values.append(float(value))
     _reject_unknown(sweep, "sweep")

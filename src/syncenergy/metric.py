@@ -106,21 +106,21 @@ class ClassifierPolicy:
         Loss of synchronism when the trailing peak exceeds
         ``growth_factor`` times the early reference peak and the series
         maximum sits in the trailing window (still growing at the end).
-    disturbance_end
-        Start of the assessed window (e.g. fault clearing time); None
-        assesses the whole record.
     guard
         Seconds skipped after ``disturbance_end`` so that derivative
         stencils never straddle the switching instant (at least
         5 grid steps are always skipped).
+    disturbance_end
+        Start of the assessed window (e.g. fault clearing time); None
+        assesses the whole record.
     """
 
     eps_sync: float = 1e-6
     tail_window: float = 1.0
     divergence_cap: float = 1e6
     growth_factor: float = 10.0
-    disturbance_end: float | None = None
     guard: float = 0.01
+    disturbance_end: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_sync < 1.0:

@@ -20,6 +20,7 @@ different grids is a contract violation and raises ``ValueError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +55,12 @@ class TimeGrid:
         return self.t0 + self.dt * (self.n - 1)
 
     def on_grid(self, t: float) -> bool:
-        """Whether ``t`` lies a whole number of steps from t0 (to 1e-9 relative)."""
-        steps = (t - self.t0) / self.dt
-        return abs(steps - round(steps)) <= 1e-9 * max(1.0, abs(steps))
+        """Whether ``t`` lies a whole number of steps from t0 (to 1e-9 relative).
 
-    def index_at(self, t: float) -> int:
-        """Index of the grid sample nearest to time ``t`` (clipped to range)."""
-        k = int(round((t - self.t0) / self.dt))
-        return min(max(k, 0), self.n - 1)
+        A step count that overflows to infinity is never on the grid.
+        """
+        steps = (t - self.t0) / self.dt
+        return math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, abs(steps))
 
 
 def _as_series(x, n: int, name: str) -> np.ndarray:
@@ -95,12 +94,6 @@ class ParkSeries:
         z = np.asarray(z, dtype=complex)
         return cls(grid, z.real.copy(), z.imag.copy())
 
-    def as_complex(self) -> np.ndarray:
-        return self.d + 1j * self.q
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.d, self.q)
-
 
 @dataclass
 class CFSeries:
@@ -108,19 +101,15 @@ class CFSeries:
 
     ``magnitude`` retains the envelope the estimate was derived from, so
     that downstream consumers can form amplitude moments consistent with
-    ``rho``.  ``valid`` is False where the source magnitude was degenerate;
-    entries there are finite placeholders, not measurements.
+    ``rho`` and tell where it was degenerate (at or below
+    :data:`EPS_MAG`); entries there are finite placeholders, not
+    measurements.
     """
 
     grid: TimeGrid
     rho: np.ndarray
     omega: np.ndarray
     magnitude: np.ndarray
-    valid: np.ndarray
-
-    def eta(self) -> np.ndarray:
-        """Complex frequency samples rho + j omega."""
-        return self.rho + 1j * self.omega
 
 
 def unwrap_phase(phase) -> np.ndarray:
@@ -213,19 +202,19 @@ def complex_frequency(x: ParkSeries) -> CFSeries:
     rho is the derivative of log magnitude and omega the derivative of the
     unwrapped phase, both via :func:`differentiate`.  Degenerate samples
     (magnitude below :data:`EPS_MAG`) are clamped before taking the log so
-    no NaN or infinity is ever produced; they are reported with
-    ``valid = False`` instead.
+    no NaN or infinity is ever produced; the returned magnitude marks
+    them, and :func:`~syncenergy.metric.se_from_cf` flags them invalid.
 
     Returns
     -------
     CFSeries
-        rho, omega, the source magnitude, and the validity mask.
+        rho, omega, and the source magnitude.
     """
-    mag, phase, degenerate = polar_decompose(x)
+    mag, phase, _ = polar_decompose(x)
     safe_mag = np.maximum(mag, EPS_MAG)
     rho = differentiate(np.log(safe_mag), x.grid)
     omega = differentiate(phase, x.grid)
-    return CFSeries(x.grid, rho, omega, mag, ~degenerate)
+    return CFSeries(x.grid, rho, omega, mag)
 
 
 def complex_power(v: ParkSeries, i: ParkSeries) -> ParkSeries:

@@ -110,15 +110,6 @@ class SimResult:
     diverged: bool
 
 
-@dataclass(frozen=True)
-class SmibEigenvalues:
-    """Eigenvalues of the swing dynamics linearized about delta_eq."""
-
-    first: complex
-    second: complex
-    saddle: bool
-
-
 def equilibrium_angle(params: SmibParams, interval: str = "pre") -> float:
     """Stable equilibrium angle asin(Pm x_total / (E V_inf)) of an interval."""
     ratio = params.Pm * params.x_total(interval) / (params.E * params.V_inf)
@@ -128,33 +119,6 @@ def equilibrium_angle(params: SmibParams, interval: str = "pre") -> float:
             f"{params.E * params.V_inf / params.x_total(interval):.4f}"
         )
     return math.asin(ratio)
-
-
-def smib_eigenvalues(params: SmibParams, delta_eq: float) -> SmibEigenvalues:
-    """Linearize the swing equation about delta_eq (pre-fault network).
-
-    The small-signal system for (delta, omega) has the state matrix
-    [[0, omega_n], [-Ks/(2H), -D/(2H)]] with synchronizing coefficient
-    Ks = E V_inf cos(delta_eq) / x_total, so the eigenvalues solve
-
-        lambda^2 + (D / 2H) lambda + Ks omega_n / (2H) = 0.
-
-    Past delta_eq = pi/2 the coefficient Ks turns negative and the
-    equilibrium is a saddle: both roots real, one positive.
-    """
-    ks = params.E * params.V_inf * math.cos(delta_eq) / params.x_total("pre")
-    b = params.D / (2.0 * params.H)
-    c = ks * params.omega_n / (2.0 * params.H)
-    disc = b * b - 4.0 * c
-    if disc < 0.0:
-        root = 0.5 * math.sqrt(-disc)
-        first = complex(-0.5 * b, root)
-        second = complex(-0.5 * b, -root)
-    else:
-        root = 0.5 * math.sqrt(disc)
-        first = complex(-0.5 * b + root, 0.0)
-        second = complex(-0.5 * b - root, 0.0)
-    return SmibEigenvalues(first, second, saddle=ks < 0.0)
 
 
 def _check_on_grid(t: float, grid: TimeGrid, name: str) -> None:

@@ -100,6 +100,16 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
     assert "config error at grid.dt" in capsys.readouterr().err
 
 
+def test_run_refuses_a_name_that_leaves_the_out_dir(tmp_path, capsys):
+    doc = tmp_path / "work" / "escape.yaml"
+    doc.parent.mkdir()
+    doc.write_text(TONE_YAML.replace("name: tone", 'name: "../escape"'), encoding="utf-8")
+    out = tmp_path / "work" / "out"
+    assert main(["run", str(doc), "--out-dir", str(out)]) == 2
+    assert "config error at name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.yaml", "work"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_exits_2_when_derivatives_overflow(tmp_path, capsys):
     """On a grid this fine the differentiated series overflow to inf: the

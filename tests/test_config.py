@@ -1,9 +1,13 @@
 """Scenario and sweep document validation."""
 
+import copy
 import math
+from importlib import resources
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syncenergy.config import (
     CSV_COLUMNS,
@@ -142,6 +146,20 @@ def test_classifier_thresholds_are_configurable():
         ("analysis.max_identity_gap", 0.0, "must be positive"),
         ("output.columns", ["nope"], "unknown column"),
         ("output.columns", [], "non-empty list"),
+        ("fault.t_apply", 1.0e308, r"fault.t_apply: 1e\+308 is not a multiple of grid dt=0.001"),
+        ("name", "", "name: must be a file name"),
+        ("name", ".", "name: must be a file name"),
+        ("name", "..", "name: must be a file name"),
+        ("name", "../escape", "name: must be a file name"),
+        ("name", "a/b", "name: must be a file name"),
+        ("name", "a\\b", "name: must be a file name"),
+        ("name", "a\0b", "name: must be a file name"),
+        ("system.omega_n", 100.0, "system.omega_n: unknown key"),
+        # an int past the float range is refused, not an OverflowError
+        pytest.param("system.H", 10**400, "system.H: must be finite", id="system.H-int1e400"),
+        # the policy fields are read in declared order: guard before disturbance_end
+        ("analysis.classifier", {"disturbance_end": "x", "guard": "x"},
+         "analysis.classifier.guard: expected a number"),
     ],
 )
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
@@ -170,6 +188,12 @@ def test_grid_at_the_sample_budget_parses():
 def test_scenario_rejects_negative_inertia_via_model_validation():
     with pytest.raises(ConfigError, match="at system: inertia H must be positive"):
         parse_scenario(_with(SMIB_DOC, "system.H", -2.0))
+
+
+def test_synthetic_system_takes_no_grid_key():
+    """The spec's grid comes from the grid section, never from system."""
+    with pytest.raises(ConfigError, match="at system.grid: unknown key"):
+        parse_scenario(_with(SYNTH_DOC, "system.grid", 1.0))
 
 
 def test_synthetic_rejects_fault_section():
@@ -211,6 +235,8 @@ def test_sweep_axis_values_validated():
         parse_sweep(_sweep_doc([]))
     with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
         parse_sweep(_sweep_doc([5.0, "ten"]))
+    with pytest.raises(ConfigError, match=r"sweep.values\[0\]: expected a finite number"):
+        parse_sweep(_sweep_doc([10**400]))
 
 
 def test_sweep_rejects_values_sharing_a_run_name():
@@ -259,3 +285,59 @@ def test_load_document_rejects_multi_doc_and_bad_yaml(tmp_path):
     bad.write_text("name: [unclosed\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_document(bad)
+
+
+# ------------------------------------------------------------- robustness
+
+BUNDLED_DOCS = {
+    entry.name: yaml.safe_load(entry.read_text(encoding="utf-8"))
+    for entry in resources.files("syncenergy").joinpath("scenarios").iterdir()
+    if entry.name.endswith(".yaml")
+}
+DELETE = object()
+JUNK = st.one_of(
+    st.sampled_from([
+        DELETE, None, True, False, "", "../x", "a/b", "fd", 0, -1, 7, [], [1.0], {}, {"dt": 1},
+        5e-324, -5e-324, 2.0e-308, 1.0e308, -1.0e308, 10**400, [10**400],
+    ]),
+    st.text(max_size=4),
+    st.integers(),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+)
+
+
+def _leaves(node, prefix=()):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+FAULT_T_APPLY = list(_leaves(BUNDLED_DOCS["smib_h5_d5.yaml"])).index(("fault", "t_apply"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    name=st.sampled_from(sorted(BUNDLED_DOCS)),
+    edits=st.lists(st.tuples(st.integers(min_value=0, max_value=99), JUNK), min_size=1, max_size=3),
+)
+@example(name="smib_h5_d5.yaml", edits=[(FAULT_T_APPLY, 1.0e308)])
+def test_damaged_bundled_documents_parse_or_raise_config_error(name, edits):
+    """Replacing or deleting 1-3 leaves of a bundled document gives a
+    config or a ConfigError, never another exception (parsing only)."""
+    doc = copy.deepcopy(BUNDLED_DOCS[name])
+    leaves = list(_leaves(doc))
+    for k, value in edits:
+        path = leaves[k % len(leaves)]
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DELETE:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    try:
+        (parse_sweep if "sweep" in doc else parse_scenario)(doc)
+    except ConfigError:
+        pass

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from syncenergy.signals import (
     EPS_MAG,
-    CFSeries,
     ParkSeries,
     TimeGrid,
     complex_frequency,
@@ -30,14 +29,6 @@ def test_grid_times_and_end():
     assert g.t_end == 3.0
 
 
-def test_grid_index_at_rounds_and_clips():
-    g = TimeGrid(0.0, 0.1, 11)
-    assert g.index_at(0.34) == 3
-    assert g.index_at(0.35001) == 4
-    assert g.index_at(-5.0) == 0
-    assert g.index_at(99.0) == 10
-
-
 def test_grid_on_grid_is_relative_to_t0_and_step_count():
     """Whole steps from t0 pass within 1e-9 relative; the range is not checked."""
     g = TimeGrid(0.25, 1e-3, 101)
@@ -46,6 +37,8 @@ def test_grid_on_grid_is_relative_to_t0_and_step_count():
     # 50 steps allow 5e-8 of a step, 1e6 steps allow 1e-3 of one
     assert g.on_grid(0.3 + 1e-14) and not g.on_grid(0.3 + 1e-10)
     assert g.on_grid(1e3 + 0.25 + 1e-7) and not g.on_grid(1e3 + 0.25 + 1e-5)
+    # a step count that overflows to inf is off the grid, not an OverflowError
+    assert not g.on_grid(1.0e308) and not g.on_grid(-1.0e308)
 
 
 def test_grid_rejects_bad_step_and_size():
@@ -60,8 +53,8 @@ def test_grid_rejects_bad_step_and_size():
 def test_park_series_roundtrip_complex():
     z = np.exp(1j * np.linspace(0.0, 2.0, GRID.n))
     x = ParkSeries.from_complex(GRID, z)
-    np.testing.assert_array_equal(x.as_complex(), z)
-    np.testing.assert_allclose(x.magnitude(), 1.0, rtol=1e-14)
+    np.testing.assert_array_equal(x.d + 1j * x.q, z)
+    np.testing.assert_allclose(np.hypot(x.d, x.q), 1.0, rtol=1e-14)
 
 
 def test_park_series_rejects_wrong_length_and_nan():
@@ -71,12 +64,6 @@ def test_park_series_rejects_wrong_length_and_nan():
     bad[5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ParkSeries(GRID, bad, np.zeros(GRID.n))
-
-
-def test_cf_series_eta_combines_components():
-    n = GRID.n
-    cf = CFSeries(GRID, np.full(n, 0.5), np.full(n, 2.0), np.ones(n), np.ones(n, bool))
-    assert cf.eta()[0] == 0.5 + 2.0j
 
 
 # ------------------------------------------------------------ unwrap_phase
@@ -181,17 +168,14 @@ def test_complex_frequency_of_decaying_rotation():
     inner = slice(2, -2)
     np.testing.assert_allclose(cf.rho[inner], -0.4, rtol=1e-6)
     np.testing.assert_allclose(cf.omega[inner], 2.5, rtol=1e-6)
-    assert cf.valid.all()
     np.testing.assert_allclose(cf.magnitude, np.exp(-0.4 * t), rtol=1e-13)
 
 
-def test_complex_frequency_flags_degenerate_and_stays_finite():
+def test_complex_frequency_stays_finite():
     g = TimeGrid(0.0, 1e-3, 101)
     z = np.exp(2.0j * g.times())
     z[40:60] = 0.0
     cf = complex_frequency(ParkSeries.from_complex(g, z))
-    assert not cf.valid[40:60].any()
-    assert cf.valid[:40].all() and cf.valid[60:].all()
     assert np.isfinite(cf.rho).all() and np.isfinite(cf.omega).all()
 
 
@@ -215,8 +199,8 @@ def test_complex_power_equals_v_times_conj_i():
     v = ParkSeries.from_complex(GRID, 1.1 * np.exp(1j * (0.2 + 0.5 * t)))
     i = ParkSeries.from_complex(GRID, 0.9 * np.exp(1j * (0.1 * t - 0.4)))
     s = complex_power(v, i)
-    expected = v.as_complex() * np.conj(i.as_complex())
-    np.testing.assert_allclose(s.as_complex(), expected, rtol=1e-14)
+    expected = (v.d + 1j * v.q) * np.conj(i.d + 1j * i.q)
+    np.testing.assert_allclose(s.d + 1j * s.q, expected, rtol=1e-14)
 
 
 def test_complex_power_common_phase_cancels():

@@ -1,6 +1,7 @@
 """Swing-equation machine model, its energy function, and signal templates."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from syncenergy.simulator import (
     SmibParams,
     SyntheticSpec,
     equilibrium_angle,
-    smib_eigenvalues,
     smib_simulate,
     swing_energy,
     synthetic_signal,
@@ -207,6 +207,43 @@ def test_equilibrium_angle_raises_beyond_transfer_limit():
 
 # ------------------------------------------------------------- eigenvalues
 
+@dataclass(frozen=True)
+class SmibEigenvalues:
+    """Eigenvalues of the swing dynamics linearized about delta_eq."""
+
+    first: complex
+    second: complex
+    saddle: bool
+
+
+def smib_eigenvalues(params: SmibParams, delta_eq: float) -> SmibEigenvalues:
+    """Linearize the swing equation about delta_eq (pre-fault network): the
+    small-signal oracle ``smib_simulate``'s ringing is checked against.
+
+    The small-signal system for (delta, omega) has the state matrix
+    [[0, omega_n], [-Ks/(2H), -D/(2H)]] with synchronizing coefficient
+    Ks = E V_inf cos(delta_eq) / x_total, so the eigenvalues solve
+
+        lambda^2 + (D / 2H) lambda + Ks omega_n / (2H) = 0.
+
+    Past delta_eq = pi/2 the coefficient Ks turns negative and the
+    equilibrium is a saddle: both roots real, one positive.
+    """
+    ks = params.E * params.V_inf * math.cos(delta_eq) / params.x_total("pre")
+    b = params.D / (2.0 * params.H)
+    c = ks * params.omega_n / (2.0 * params.H)
+    disc = b * b - 4.0 * c
+    if disc < 0.0:
+        root = 0.5 * math.sqrt(-disc)
+        first = complex(-0.5 * b, root)
+        second = complex(-0.5 * b, -root)
+    else:
+        root = 0.5 * math.sqrt(disc)
+        first = complex(-0.5 * b + root, 0.0)
+        second = complex(-0.5 * b - root, 0.0)
+    return SmibEigenvalues(first, second, saddle=ks < 0.0)
+
+
 def test_eigenvalues_frozen_oscillatory_pair():
     eig = smib_eigenvalues(PARAMS, equilibrium_angle(PARAMS, "pre"))
     assert eig.first == pytest.approx(8.699450491840658j, abs=1e-9)
@@ -244,6 +281,26 @@ def test_eigenvalues_match_state_matrix(h, d, delta_eq):
         assert mine == pytest.approx(ref, abs=1e-8)
 
 
+@pytest.mark.parametrize("damping", [0.0, 5.0])
+def test_simulated_ringing_matches_small_signal_frequency(damping):
+    """After a short, mild fault the swing rings at the damped natural
+    frequency Im(lambda) of the linearization; measured from the zero
+    crossings of delta - delta_eq after 0.7 s."""
+    params = SmibParams(H=5.0, D=damping, x_gen=0.3, x_line_prefault=0.2,
+                        x_line_fault=0.25, x_line_postfault=0.2)
+    grid = TimeGrid(0.0, 1e-3, 20001)
+    sim = smib_simulate(params, FaultSchedule(0.5, 0.6), grid)
+    delta_eq = equilibrium_angle(params, "pre")
+    t = grid.times()
+    x = (sim.delta - delta_eq)[t > 0.7]
+    t = t[t > 0.7]
+    k = np.flatnonzero(np.signbit(x[:-1]) != np.signbit(x[1:]))
+    crossings = t[k] - x[k] * (t[k + 1] - t[k]) / (x[k + 1] - x[k])
+    measured = math.pi * (len(crossings) - 1) / (crossings[-1] - crossings[0])
+    expected = smib_eigenvalues(params, delta_eq).first.imag
+    assert measured == pytest.approx(expected, rel=1e-3)
+
+
 # ----------------------------------------------------------- smib_simulate
 
 def test_simulate_holds_equilibrium_without_fault():
@@ -269,8 +326,8 @@ def test_simulate_network_outputs_satisfy_circuit_relations():
     grid = TimeGrid(0.0, 1e-3, 5001)
     sim = smib_simulate(PARAMS, FAULT, grid)
     emf = PARAMS.E * np.exp(1j * sim.delta)
-    v = sim.v_bus.as_complex()
-    i = sim.i_inj.as_complex()
+    v = sim.v_bus.d + 1j * sim.v_bus.q
+    i = sim.i_inj.d + 1j * sim.i_inj.q
     np.testing.assert_allclose(v, emf - 1j * PARAMS.x_gen * i, rtol=0, atol=1e-12)
     # away from the switching samples the line equation fixes the current
     t = grid.times()
@@ -362,8 +419,8 @@ def test_dual_frequency_rotations():
         SyntheticSpec(template="dual_frequency", grid=g, omega1=2.0, omega2=-1.0)
     )
     t = g.times()
-    np.testing.assert_allclose(v.as_complex(), np.exp(2.0j * t), rtol=1e-14)
-    np.testing.assert_allclose(i.as_complex(), np.exp(-1.0j * t), rtol=1e-14)
+    np.testing.assert_allclose(v.d + 1j * v.q, np.exp(2.0j * t), rtol=1e-14)
+    np.testing.assert_allclose(i.d + 1j * i.q, np.exp(-1.0j * t), rtol=1e-14)
 
 
 def test_variance_cancelling_envelopes_are_reciprocal():
@@ -371,4 +428,4 @@ def test_variance_cancelling_envelopes_are_reciprocal():
     v, i = synthetic_signal(
         SyntheticSpec(template="variance_cancelling", grid=g, envelope_rate=0.5, omega1=1.0)
     )
-    np.testing.assert_allclose(v.magnitude() * i.magnitude(), 1.0, rtol=1e-13)
+    np.testing.assert_allclose(np.hypot(v.d, v.q) * np.hypot(i.d, i.q), 1.0, rtol=1e-13)
