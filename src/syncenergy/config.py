@@ -3,7 +3,8 @@
 A scenario is a single YAML document with the sections
 
     name:        identifier used for output files; a file name, so not
-                 empty, . or .., and without /, \\ or NUL
+                 empty, . or .., without /, \\ or NUL, and short enough
+                 for its longest output file name to fit NAME_MAX_BYTES
     description: free text
     system:      kind: smib | synthetic, plus model fields
     fault:       t_apply / t_clear (smib only, optional)
@@ -62,6 +63,18 @@ CSV_COLUMNS = (
 
 # most samples a grid may ask for: an analysed sample holds about 220 bytes
 MAX_SAMPLES = 10**7
+
+# longest file name, in bytes, that common file systems accept
+NAME_MAX_BYTES = 255
+# longest suffix the runner appends to a scenario name
+_LONGEST_SUFFIX = ".sweep.summary.json"
+
+# template fields holding an angular frequency (rad/s) that must stay below Nyquist
+_TEMPLATE_FREQUENCIES = {
+    "dual_frequency": ("omega1", "omega2"),
+    "amplitude_modulated": ("mod_freq",),
+    "variance_cancelling": ("omega1",),
+}
 
 class ConfigError(ValueError):
     """Invalid configuration; ``path`` is the dotted field location."""
@@ -208,7 +221,24 @@ def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
     template = _string(node, "template", path, required=True)
     values = _read_fields(SyntheticSpec, node, path, skip=("template", "grid"))
     _reject_unknown(node, path)
-    return _build(SyntheticSpec, path, dict(values, template=template, grid=grid))
+    spec = _build(SyntheticSpec, path, dict(values, template=template, grid=grid))
+    # the closed forms hold only for a signal the grid resolves
+    omegas = {key: getattr(spec, key) for key in _TEMPLATE_FREQUENCIES.get(template, ())}
+    if template == "frequency_drift":
+        omegas["drift_rate"] = spec.drift_rate * grid.t_end  # the end frequency
+    for key, omega in omegas.items():
+        if abs(omega) * grid.dt >= math.pi:
+            raise ConfigError(
+                _join(path, key), f"{omega!r} rad/s aliases at dt={grid.dt!r}: |omega| dt must stay below pi"
+            )
+    if template == "variance_cancelling":
+        exponent = spec.envelope_rate * grid.t_end * grid.t_end / 2.0
+        if exponent > math.log(sys.float_info.max):
+            raise ConfigError(
+                _join(path, "envelope_rate"),
+                f"envelope e^(rate t^2/2) reaches e^{exponent:.4g} at t={grid.t_end!r}, past the float range",
+            )
+    return spec
 
 
 def _parse_fault(node, path: str, grid: TimeGrid) -> FaultSchedule:
@@ -231,6 +261,18 @@ def _parse_policy(node, path: str, disturbance_default: float | None) -> Classif
     return _build(ClassifierPolicy, path, values)
 
 
+def _check_file_name(stem: str, suffix: str, path: str) -> None:
+    """Reject an output file name that common file systems do not accept."""
+    try:
+        size = len((stem + suffix).encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ConfigError(path, f"must be UTF-8 text: {exc.reason} at character {exc.start}") from exc
+    if size > NAME_MAX_BYTES:
+        raise ConfigError(
+            path, f"the file name {stem[:16]!r}...{suffix} takes {size} bytes; at most {NAME_MAX_BYTES}"
+        )
+
+
 def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     """Validate a raw YAML document into a :class:`ScenarioConfig`.
 
@@ -247,6 +289,7 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
         raise ConfigError(
             "name", f"must be a file name: not empty, . or .., and without /, \\ or NUL; got {name!r}"
         )
+    _check_file_name(name, _LONGEST_SUFFIX, "name")
     description = _string(top, "description", "", default="")
     system = _mapping(top.pop("system", None), "system")
     if not system:
@@ -350,6 +393,7 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
                 f"{value!r} gives the run name {name!r} of sweep.values[{first[name]}]",
             )
         first[name] = k
+        _check_file_name(name, ".csv", f"sweep.values[{k}]")
     return config
 
 

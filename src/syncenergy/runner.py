@@ -4,7 +4,9 @@ Series files are CSV with a mandatory header and one row per sample.
 Floats are written with ``repr``, the shortest representation that
 round-trips exactly, so re-running a scenario always produces
 byte-identical output and a re-read series reproduces the analysis to
-machine precision.  Summary records are JSON with NaN mapped to null.
+machine precision.  The writer formats the columns in chunks of rows,
+which bounds its memory, and the reader parses them with
+``np.loadtxt``.  Summary records are JSON with NaN mapped to null.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,23 +140,43 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
     return VerifyReport(coarse, fine, order, config.max_identity_gap, passed)
 
 
+# rows formatted per write: bounds the Python floats alive at once
+_CHUNK_ROWS = 4096
+
+
 def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
-    """Write selected columns as CSV; floats via repr (exact round-trip)."""
-    # csv formats Python floats by repr, numpy scalars by numpy's print options
-    rows = zip(*(map(float, columns[name]) for name in order))
+    """Write selected columns as CSV, ``_CHUNK_ROWS`` rows per write.
+
+    Each column slice becomes Python floats by ``tolist`` and each cell
+    is formatted by ``repr`` (exact round-trip), so numpy's print
+    options never reach the file.
+    """
+    arrays = [columns[name] for name in order]
+    n = min(map(len, arrays), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(order)
-        writer.writerows(rows)
+        fh.write(",".join(order) + "\n")
+        for a in range(0, n, _CHUNK_ROWS):
+            parts = [map(repr, np.asarray(col[a : a + _CHUNK_ROWS], dtype=float).tolist()) for col in arrays]
+            fh.write("".join(row + "\n" for row in map(",".join, zip(*parts))))
 
 
 def read_series_csv(path) -> dict:
-    """Read a series CSV back into arrays keyed by column name."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    data = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    """Read a series CSV back into arrays keyed by column name.
+
+    The body is parsed by ``np.loadtxt``; a header-only file gives empty
+    columns.  A ragged row, a non-numeric cell or a row width other than
+    the header's raises ``ValueError``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            # a header-only file is a valid empty series, not a suspicious input
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+    if data.size == 0:
+        data = data.reshape(0, len(header))
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows hold {data.shape[1]} cells, the header names {len(header)}")
     return {name: data[:, k] for k, name in enumerate(header)}
 
 

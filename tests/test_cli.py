@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, overrides, and exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -108,6 +109,30 @@ def test_run_refuses_a_name_that_leaves_the_out_dir(tmp_path, capsys):
     assert main(["run", str(doc), "--out-dir", str(out)]) == 2
     assert "config error at name" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.yaml", "work"]
+
+
+def test_run_refuses_a_name_past_the_file_name_limit(tmp_path, capsys):
+    doc = tmp_path / "long.yaml"
+    doc.write_text(TONE_YAML.replace("name: tone", "name: " + "n" * 300), encoding="utf-8")
+    assert main(["run", str(doc), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at name: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["long.yaml"]
+
+
+@pytest.mark.parametrize("system, path", [
+    ("template: variance_cancelling\n  envelope_rate: 1.0e+3", "system.envelope_rate"),
+    ("template: dual_frequency\n  omega1: 4000", "system.omega1"),
+])
+def test_run_refuses_an_unresolved_synthetic_template(tmp_path, capsys, system, path):
+    doc = tmp_path / "synth.yaml"
+    doc.write_text(f"name: synth\nsystem:\n  kind: synthetic\n  {system}\ngrid:\n  t_end: 2.0\n  dt: 0.001\n",
+                   encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(doc), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at {path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

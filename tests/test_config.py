@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from syncenergy.config import (
     CSV_COLUMNS,
     MAX_SAMPLES,
+    NAME_MAX_BYTES,
     ConfigError,
     apply_axis,
     load_document,
@@ -160,11 +161,64 @@ def test_classifier_thresholds_are_configurable():
         # the policy fields are read in declared order: guard before disturbance_end
         ("analysis.classifier", {"disturbance_end": "x", "guard": "x"},
          "analysis.classifier.guard: expected a number"),
+        # the longest output file, <name>.sweep.summary.json, must fit 255 bytes
+        pytest.param("name", "n" * 237, r"name: the file name 'n+'\.\.\.\.sweep\.summary\.json takes 256",
+                     id="name-237-bytes"),
+        pytest.param("name", "\u00e9" * 119, "name: .* takes 257 bytes", id="name-238-utf8-bytes"),
+        pytest.param("name", "a\ud800", "name: must be UTF-8 text", id="name-lone-surrogate"),
     ],
 )
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_scenario(_with(SMIB_DOC, path, value))
+
+
+def test_longest_name_parses():
+    name = "n" * (NAME_MAX_BYTES - len(".sweep.summary.json"))
+    assert parse_scenario(_with(SMIB_DOC, "name", name)).name == name
+
+
+@pytest.mark.parametrize(
+    "system, grid, path, fragment",
+    [
+        # e^(rate t^2 / 2) overflows at t_end = 2 once rate passes 354.9
+        ({"template": "variance_cancelling", "envelope_rate": 1.0e3}, None,
+         "system.envelope_rate", "reaches e\\^2000 at t=2.0, past the float range"),
+        ({"template": "variance_cancelling", "envelope_rate": 355.0}, None,
+         "system.envelope_rate", "past the float range"),
+        # |omega| dt >= pi: the samples alias the rotation
+        ({"omega1": 4000.0}, None, "system.omega1", "4000.0 rad/s aliases at dt=0.001"),
+        ({"omega2": -math.pi / 0.001}, None, "system.omega2", "aliases"),
+        ({"template": "variance_cancelling", "envelope_rate": 0.5, "omega1": 4000.0}, None,
+         "system.omega1", "aliases"),
+        ({"template": "amplitude_modulated", "mod_depth": 0.3, "mod_freq": 4000.0}, None,
+         "system.mod_freq", "aliases"),
+        # the drift template's end frequency is drift_rate * t_end
+        ({"template": "frequency_drift", "drift_rate": 2000.0}, None,
+         "system.drift_rate", "4000.0 rad/s aliases"),
+        ({"omega1": 40.0}, {"t_end": 2.0, "dt": 0.1}, "system.omega1", "aliases at dt=0.1"),
+    ],
+)
+def test_synthetic_template_limits_carry_dotted_paths(system, grid, path, fragment):
+    doc = _doc(SYNTH_DOC)
+    doc["system"].update(system)
+    doc["grid"] = grid or doc["grid"]
+    with pytest.raises(ConfigError, match=fragment) as info:
+        parse_scenario(doc)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("system", [
+    {"template": "variance_cancelling", "envelope_rate": 350.0},
+    {"omega1": 0.999 * math.pi / 0.001, "omega2": -3141.0},
+    {"template": "frequency_drift", "drift_rate": 1570.0},
+    # a field the template does not read is not checked
+    {"template": "constant_phasor", "omega1": 4000.0},
+])
+def test_synthetic_templates_within_limits_parse(system):
+    doc = _doc(SYNTH_DOC)
+    doc["system"].update(system)
+    assert parse_scenario(doc).synthetic.template == system.get("template", "dual_frequency")
 
 
 @pytest.mark.parametrize("t_end, dt", [
@@ -244,6 +298,14 @@ def test_sweep_rejects_values_sharing_a_run_name():
     # run's output files would overwrite the first's
     with pytest.raises(ConfigError, match=r"at sweep.values\[2\]: .*sweep.values\[0\]"):
         parse_sweep(_sweep_doc([5.0, 6.0, 5.0000001]))
+
+
+def test_sweep_rejects_a_run_name_past_the_file_name_limit():
+    doc = _sweep_doc([5.0, 1234567.0])
+    doc["base"]["name"] = "n" * (NAME_MAX_BYTES - len(".sweep.summary.json"))
+    # <name>__system_H_1.23457e+06.csv takes 236 + 22 + 4 = 262 bytes
+    with pytest.raises(ConfigError, match=r"at sweep.values\[1\]: .*\.csv takes 262 bytes; at most 255"):
+        parse_sweep(doc)
 
 
 def test_sweep_axis_must_point_into_base():

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncenergy.config import CSV_COLUMNS, parse_scenario, parse_sweep
 from syncenergy.metric import SyncStatus
@@ -137,11 +142,61 @@ def test_series_csv_nan_round_trips(tmp_path):
 def test_series_csv_header_only_reads_as_empty_columns(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("t,p\n", encoding="utf-8")
-    back = read_series_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data" included
+        back = read_series_csv(path)
     assert tuple(back) == ("t", "p")
     for column in back.values():
         assert column.shape == (0,)
         assert column.dtype == float
+
+
+@pytest.mark.parametrize("body", [
+    "0.0,1.0\n2.0\n",  # ragged row
+    "0.0,1.0\n2.0,x\n",  # non-numeric cell
+    "0.0,1.0\n#2.0,3.0\n",  # not a comment: a non-numeric cell
+    "0.0\n1.0\n",  # every row narrower than the header
+    "0.0,1.0,2.0\n",  # a row wider than the header
+])
+def test_series_csv_malformed_body_raises_value_error(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,p\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_series_csv(path)
+
+
+# cells no random bit pattern is likely to hit
+_SPECIAL_FLOATS = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+    2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max, 0.1 + 0.2, 1.0 / 3.0,
+])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]),  # both sides of the chunk edges
+    names=st.permutations(CSV_COLUMNS).flatmap(lambda p: st.integers(1, 5).map(lambda k: tuple(p[:k]))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in names:
+        col = rng.integers(0, 2**64, size=n_rows, dtype=np.uint64, endpoint=False).view(float)
+        where = rng.random(n_rows) < 0.1
+        col[where] = rng.choice(_SPECIAL_FLOATS, size=int(where.sum()))
+        columns[name] = col
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bits.csv"
+        write_series_csv(path, columns, names)
+        back = read_series_csv(path)
+    assert tuple(back) == names
+    for name in names:
+        want, got = columns[name], back[name]
+        assert got.shape == (n_rows,) and got.dtype == float
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan, err_msg=name)
+        assert got[~nan].tobytes() == want[~nan].tobytes(), name
 
 
 # ------------------------------------------------------------- run_scenario
