@@ -81,6 +81,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str) -> None:
         self.path = path
+        self.message = message
         super().__init__(f"at {path}: {message}" if path else message)
 
 
@@ -232,12 +233,20 @@ def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
                 _join(path, key), f"{omega!r} rad/s aliases at dt={grid.dt!r}: |omega| dt must stay below pi"
             )
     if template == "variance_cancelling":
-        exponent = spec.envelope_rate * grid.t_end * grid.t_end / 2.0
-        if exponent > math.log(sys.float_info.max):
-            raise ConfigError(
-                _join(path, "envelope_rate"),
-                f"envelope e^(rate t^2/2) reaches e^{exponent:.4g} at t={grid.t_end!r}, past the float range",
-            )
+        rate, t_end = spec.envelope_rate, grid.t_end
+        exponent = rate * t_end * t_end / 2.0
+        # the current envelope is scaled by i_mag, and the analysis takes
+        # its second derivative i_mag (rate + rate^2 t^2) e^(rate t^2/2)
+        current = math.log(spec.i_mag) + math.log(max(1.0, rate + rate * rate * t_end * t_end)) + exponent
+        for what, log_peak in (
+            ("envelope e^(rate t^2/2)", exponent),
+            ("current envelope i_mag e^(rate t^2/2) or its second derivative", current),
+        ):
+            if log_peak > math.log(sys.float_info.max):
+                raise ConfigError(
+                    _join(path, "envelope_rate"),
+                    f"{what} reaches e^{log_peak:.4g} at t={t_end!r}, past the float range",
+                )
     return spec
 
 
@@ -354,6 +363,8 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
     if not sweep:
         raise ConfigError("sweep", "required section missing")
     axis = _string(sweep, "axis", "sweep", required=True)
+    if "" in axis.split("."):
+        raise ConfigError("sweep.axis", f"expected a dotted path of field names, got {axis!r}")
     raw_values = sweep.pop("values", None)
     if not isinstance(raw_values, list) or not raw_values:
         raise ConfigError("sweep.values", "expected a non-empty list of numbers")
@@ -380,9 +391,16 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
     if leaf is not None and (isinstance(leaf, bool) or not isinstance(leaf, (int, float))):
         raise ConfigError(_join("base", axis), "axis must name a numeric field")
 
-    # the base must itself be a valid scenario once any axis value is set
-    probe = apply_axis(base, axis, values[0])
-    parsed = parse_scenario(probe, source)
+    # the base must give a valid scenario at one value at least; the others become error rows
+    error = None
+    for value in values:
+        try:
+            parsed = parse_scenario(apply_axis(base, axis, value), source)
+            break
+        except ConfigError as exc:
+            error = error or exc
+    else:
+        raise ConfigError(_join("base", error.path) if error.path else "base", error.message) from error
     config = SweepConfig(axis=axis, values=tuple(values), base_doc=base, name=parsed.name)
     first = {}
     for k, value in enumerate(values):

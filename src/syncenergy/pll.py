@@ -20,8 +20,8 @@ well within two seconds.
 
 Integration is the classical fixed-step RK4 tableau, written out on the
 state (theta, integral of e): stages at t_k, t_k + dt/2 (twice) and
-t_k + dt, each reading the input vector interpolated linearly to its
-fraction of the step.
+t_k + dt.  The first reuses the detector output of sample k, and the
+others read the input interpolated linearly to their fraction of the step.
 """
 
 from __future__ import annotations
@@ -80,21 +80,17 @@ def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> tuple[np.ndarray,
         theta_hat[k] = theta
         omega_hat[k] = omega_o + kp * e + ki * xi
 
-        # RK4 stages at t_k, t_k + dt/2 (twice) and t_k + dt, each reading
-        # the input interpolated linearly to its fraction of the step
+        # RK4 stages at t_k (sample k at theta: its detector output is e),
+        # t_k + dt/2 (twice) and t_k + dt, reading the input interpolated linearly
         t_k = grid.t0 + k * dt
         dd, dq = d1 - d0, q1 - q0
-        s = (t_k - t_k) / dt
-        vd, vq = d0 + s * dd, q0 + s * dq
-        mag = hypot(vd, vq)
-        e1 = held = held if mag < EPS_MAG else (vq * cos(theta) - vd * sin(theta)) / mag
-        kt1 = kp * e1 + ki * xi
+        kt1 = kp * e + ki * xi
         s = ((t_k + half) - t_k) / dt
         vd, vq = d0 + s * dd, q0 + s * dq
         mag = hypot(vd, vq)
         th = theta + half * kt1
         e2 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
-        kt2 = kp * e2 + ki * (xi + half * e1)
+        kt2 = kp * e2 + ki * (xi + half * e)
         th = theta + half * kt2
         e3 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
         kt3 = kp * e3 + ki * (xi + half * e2)
@@ -105,7 +101,7 @@ def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> tuple[np.ndarray,
         e4 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
         kt4 = kp * e4 + ki * (xi + dt * e3)
         theta = theta + sixth * (kt1 + 2.0 * (kt2 + kt3) + kt4)
-        xi = xi + sixth * (e1 + 2.0 * (e2 + e3) + e4)
+        xi = xi + sixth * (e + 2.0 * (e2 + e3) + e4)
 
     mag = hypot(d[-1], q[-1])
     e = held if mag < EPS_MAG else (q[-1] * cos(theta) - d[-1] * sin(theta)) / mag

@@ -67,7 +67,12 @@ def _switch_windows(config: ScenarioConfig, dt: float) -> tuple:
 def execute_scenario(config: ScenarioConfig) -> ScenarioRun:
     """Simulate or synthesize, analyze, and classify one scenario."""
     if config.kind == "smib":
-        sim = smib_simulate(config.smib, config.fault, config.grid)
+        try:
+            # its outputs are checked for non-finite samples, so numpy stays quiet
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                sim = smib_simulate(config.smib, config.fault, config.grid)
+        except ValueError as exc:
+            raise ConfigError("system", str(exc)) from exc
         grid = sim.grid
         v, i = sim.v_bus, sim.i_inj
         delta, omega_pu = sim.delta, sim.omega_pu

@@ -26,7 +26,6 @@ synchronization energy, used as oracles and demonstration scenarios.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -121,25 +120,22 @@ def equilibrium_angle(params: SmibParams, interval: str = "pre") -> float:
     return math.asin(ratio)
 
 
-def _check_on_grid(t: float, grid: TimeGrid, name: str) -> None:
+def _step_of(t: float, grid: TimeGrid, name: str) -> int:
+    """Index of the grid sample at ``t``; ValueError if there is none."""
     if not grid.on_grid(t):
         raise ValueError(f"{name}={t} does not fall on a grid sample (dt={grid.dt})")
     if not grid.t0 <= t <= grid.t_end:
         raise ValueError(f"{name}={t} lies outside the grid [{grid.t0}, {grid.t_end}]")
+    return round((t - grid.t0) / grid.dt)
 
 
-def smib_simulate(
-    params: SmibParams,
-    fault: FaultSchedule | None,
-    grid: TimeGrid,
-    delta_cap: float = DELTA_CAP,
-) -> SimResult:
+def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGrid) -> SimResult:
     """Integrate the swing equation from its pre-fault equilibrium.
 
     Each RK4 step uses the reactance of the interval it starts in
     (pre, fault-on from t_apply inclusive, post from t_clear inclusive);
     network outputs at a sample use that same left-closed convention.
-    If |delta| exceeds ``delta_cap`` the run stops at that sample and
+    If |delta| exceeds ``DELTA_CAP`` the run stops at that sample and
     ``diverged`` is set; the returned grid covers only computed samples.
 
     Raises
@@ -148,33 +144,25 @@ def smib_simulate(
         If no pre-fault equilibrium exists or fault times are not grid
         samples.
     """
+    # sample index at which each interval starts
+    x_totals, starts = [params.x_total("pre")], [0]
     if fault is not None:
-        _check_on_grid(fault.t_apply, grid, "t_apply")
-        _check_on_grid(fault.t_clear, grid, "t_clear")
+        x_totals += [params.x_total("fault"), params.x_total("post")]
+        starts += [_step_of(fault.t_apply, grid, "t_apply"), _step_of(fault.t_clear, grid, "t_clear")]
 
     delta0 = equilibrium_angle(params, "pre")
     e, v_inf, pm = params.E, params.V_inf, params.Pm
     d_damp, two_h, omega_n = params.D, 2.0 * params.H, params.omega_n
     dt, n_steps, sin = grid.dt, grid.n - 1, math.sin
     half, sixth = 0.5 * dt, dt / 6.0
-    eps_t = 0.5 * dt  # interval lookup at step start, robust to rounding
-
-    # first step of each interval: "t_k + eps_t < edge" is monotone in k
-    intervals, starts = ("pre",), [0]
-    if fault is not None:
-        intervals += ("fault", "post")
-        starts += [
-            bisect.bisect_left(range(n_steps), True, key=lambda k: not grid.t0 + k * dt + eps_t < edge)
-            for edge in (fault.t_apply, fault.t_clear)
-        ]
 
     delta, omega = np.empty(grid.n), np.empty(grid.n)
     d, w = delta0, 1.0
     delta[0], omega[0] = d, w
-    diverged = False
+    n_kept = grid.n
     # classical RK4 on (omega_n slip, (Pm - p_max sin(delta) - D slip) / 2H)
-    for interval, k_lo, k_hi in zip(intervals, starts, starts[1:] + [n_steps]):
-        p_max = e * v_inf / params.x_total(interval)
+    for x_total, k_lo, k_hi in zip(x_totals, starts, starts[1:] + [n_steps]):
+        p_max = e * v_inf / x_total
         for k in range(k_lo, k_hi):
             slip = w - 1.0
             kd1 = omega_n * slip
@@ -192,31 +180,22 @@ def smib_simulate(
             w = w + sixth * (kw1 + 2.0 * (kw2 + kw3) + kw4)
             delta[k + 1] = d
             omega[k + 1] = w
-            if abs(d) > delta_cap:
-                diverged = True
+            if abs(d) > DELTA_CAP:
+                n_kept = k + 2
                 break
-        if diverged:
+        if n_kept < grid.n:
             break
-    n_kept = k + 2 if diverged else grid.n
 
     out_grid = grid if n_kept == grid.n else TimeGrid(grid.t0, grid.dt, n_kept)
     delta, omega = delta[:n_kept], omega[:n_kept]
-
-    times = out_grid.times()
-    if fault is None:
-        x_series = np.full(n_kept, params.x_total("pre"))
-    else:
-        x_series = np.where(
-            times < fault.t_apply - eps_t,
-            params.x_total("pre"),
-            np.where(times < fault.t_clear - eps_t, params.x_total("fault"), params.x_total("post")),
-        )
+    x_series = np.repeat(x_totals, np.diff(np.minimum(starts + [n_kept], n_kept)))
     emf = e * np.exp(1j * delta)
     i_cplx = (emf - v_inf) / (1j * x_series)
     v_cplx = emf - 1j * params.x_gen * i_cplx
     v_bus = ParkSeries.from_complex(out_grid, v_cplx)
     i_inj = ParkSeries.from_complex(out_grid, i_cplx)
-    return SimResult(out_grid, delta, omega, v_bus, i_inj, diverged)
+    # the loop stops on the first angle past the cap, so only a diverged run ends on one
+    return SimResult(out_grid, delta, omega, v_bus, i_inj, abs(d) > DELTA_CAP)
 
 
 def swing_energy(params: SmibParams, delta, omega_pu, interval: str = "pre") -> np.ndarray:

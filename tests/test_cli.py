@@ -1,9 +1,19 @@
 """Command-line behavior: subcommands, overrides, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from test_config import BUNDLED_DOCS, EDITS, _damage, _leaves
 
 from syncenergy.cli import bundled_scenarios, main
 
@@ -38,6 +48,25 @@ base:
   grid:
     t_end: 2.0
     dt: 0.001
+"""
+
+
+SMIB_YAML = """
+name: machine
+system:
+  kind: smib
+  H: 5.0
+  D: 5.0
+  x_gen: 0.3
+  x_line_prefault: 0.2
+  x_line_fault: 1.0
+  x_line_postfault: 0.2
+fault:
+  t_apply: 1.0
+  t_clear: 1.1
+grid:
+  t_end: 2.0
+  dt: 0.002
 """
 
 
@@ -135,6 +164,40 @@ def test_run_refuses_an_unresolved_synthetic_template(tmp_path, capsys, system, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rate, dt, code", [
+    (350.0, 1.0e-2, 2), (350.0, 1.0e-3, 2), (350.0, 5.0e-4, 2),
+    # below the bound of rate ~ 348.34 set by the current envelope's second derivative
+    (348.3, 1.0e-2, 0), (348.3, 1.0e-3, 0), (348.3, 5.0e-4, 0), (348.3, 2.0e-4, 0),
+])
+def test_variance_cancelling_runs_or_exits_2_at_its_rate(tmp_path, capsys, rate, dt, code):
+    doc = tmp_path / "vc.yaml"
+    doc.write_text(f"name: vc\nsystem:\n  kind: synthetic\n  template: variance_cancelling\n"
+                   f"  envelope_rate: {rate}\ngrid:\n  t_end: 2.0\n  dt: {dt}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(doc), "--out-dir", str(tmp_path / "out"), "--no-emit-series"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error at system.envelope_rate: ") if code else err == ""
+
+
+@pytest.mark.parametrize("system, message", [
+    ({"Pm": 5.0}, "no equilibrium: Pm=5.0 exceeds the maximum transfer 2.2000"),
+    ({"H": 2.0e-308}, "math domain error"),
+    # the network solution overflows: (E e^{j delta} - V_inf) / (j x_total)
+    ({"E": 1.0e308, "Pm": 0.0}, "d contains non-finite samples"),
+])
+def test_run_exits_2_at_system_when_the_machine_fails_to_simulate(tmp_path, capsys, system, message):
+    doc = yaml.safe_load(SMIB_YAML)
+    doc["system"].update(system)
+    path = tmp_path / "machine.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error at system: {message}\n"
+    assert not list((tmp_path / "out").iterdir())
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_exits_2_when_derivatives_overflow(tmp_path, capsys):
     """On a grid this fine the differentiated series overflow to inf: the
@@ -213,3 +276,66 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ CLI contract
+
+def _small(name):
+    """A bundled document on a 1001-sample grid; the fault times stay on it."""
+    doc = copy.deepcopy(BUNDLED_DOCS[name])
+    scenario = doc.get("base", doc)
+    scenario["grid"] = {"t_end": 2.0, "dt": 2.0e-3}
+    return doc
+
+
+def _leaf(name, *path):
+    return list(_leaves(_small(name))).index(path)
+
+
+@settings(deadline=None, max_examples=400)
+@given(name=st.sampled_from(sorted(BUNDLED_DOCS)), edits=EDITS)
+# a machine that fails to simulate: no equilibrium, a math domain error,
+# an overflowing network solution
+@example(name="smib_h5_d5.yaml", edits=[(_leaf("smib_h5_d5.yaml", "system", "Pm"), 5.0)])
+@example(name="smib_h5_d5.yaml", edits=[(_leaf("smib_h5_d5.yaml", "system", "H"), 2.0e-308)])
+@example(name="smib_h5_d5.yaml", edits=[(_leaf("smib_h5_d5.yaml", "system", "E"), 1.0e308),
+                                        (_leaf("smib_h5_d5.yaml", "system", "Pm"), 0.0)])
+# sweep errors: a defect in the base, an empty axis, an invalid first value
+@example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "base", "system", "D"), {"dt": 1})])
+@example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "axis"), "")])
+@example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "values"), [-1.0, 5.0])])
+def test_cli_runs_or_exits_2_at_a_field_of_the_document(name, edits):
+    """A damaged bundled document runs (exit 0) or exits 2 with one line
+    ``config error at <path>``, the path inside the document's own
+    sections; no traceback, no warning, and no file outside --out-dir."""
+    doc = _damage(_small(name), edits)
+    scenario = doc.get("base", doc)
+    grid = scenario.get("grid") if isinstance(scenario, dict) else None
+    if isinstance(grid, dict):
+        t_end, dt = grid.get("t_end"), grid.get("dt")
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (t_end, dt))
+        # a grid the parser accepts stays within 10^4 samples
+        assume(not numbers or not 0 < dt <= t_end or t_end <= 1e4 * dt)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "doc.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        command = "sweep" if "sweep" in doc else "run"
+        try:
+            os.chdir(tmp)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, str(path), "--out-dir", str(tmp / "out"), "--no-emit-series"])
+        finally:
+            os.chdir(cwd)
+        written = sorted(str(p.relative_to(tmp)) for p in tmp.rglob("*"))
+    assert code in (0, 2)
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith("config error at ") and message.count("\n") == 1, message
+        field = message[len("config error at "):].split(":")[0]
+        assert field.split(".")[0].split("[")[0] in BUNDLED_DOCS[name], message
+    else:
+        assert err.getvalue() == ""
+    assert all(p == "doc.yaml" or p == "out" or p.startswith("out/") for p in written), written

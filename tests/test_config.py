@@ -197,6 +197,15 @@ def test_longest_name_parses():
         ({"template": "frequency_drift", "drift_rate": 2000.0}, None,
          "system.drift_rate", "4000.0 rad/s aliases"),
         ({"omega1": 40.0}, {"t_end": 2.0, "dt": 0.1}, "system.omega1", "aliases at dt=0.1"),
+        # the second derivative i_mag (rate + rate^2 t^2) e^(rate t^2/2) of the
+        # current envelope, which the analysis takes, overflows once rate passes 348.34
+        ({"template": "variance_cancelling", "envelope_rate": 350.0}, None,
+         "system.envelope_rate", "second derivative reaches e\\^713.1 at t=2.0, past the float range"),
+        ({"template": "variance_cancelling", "envelope_rate": 1.0, "i_mag": 1.0e308}, None,
+         "system.envelope_rate", "second derivative reaches e\\^712.8 at t=2.0"),
+        # the current envelope itself, where rate + rate^2 t^2 < 1
+        ({"template": "variance_cancelling", "envelope_rate": 0.1, "i_mag": 1.7e308}, None,
+         "system.envelope_rate", "current envelope i_mag e\\^\\(rate t\\^2/2\\) or its second derivative"),
     ],
 )
 def test_synthetic_template_limits_carry_dotted_paths(system, grid, path, fragment):
@@ -209,7 +218,7 @@ def test_synthetic_template_limits_carry_dotted_paths(system, grid, path, fragme
 
 
 @pytest.mark.parametrize("system", [
-    {"template": "variance_cancelling", "envelope_rate": 350.0},
+    {"template": "variance_cancelling", "envelope_rate": 348.3},
     {"omega1": 0.999 * math.pi / 0.001, "omega2": -3141.0},
     {"template": "frequency_drift", "drift_rate": 1570.0},
     # a field the template does not read is not checked
@@ -322,6 +331,35 @@ def test_sweep_rejects_invalid_base():
         parse_sweep(doc)
 
 
+def test_sweep_base_errors_carry_the_base_prefix():
+    doc = _sweep_doc([5.0])
+    doc["base"]["system"]["D2"] = 1.0
+    with pytest.raises(ConfigError, match=r"at base\.system\.D2: unknown key") as info:
+        parse_sweep(doc)
+    assert info.value.path == "base.system.D2"
+
+
+@pytest.mark.parametrize("axis", ["", "system.", ".H", "system..H"])
+def test_sweep_rejects_an_empty_axis_segment(axis):
+    doc = _sweep_doc([5.0])
+    doc["sweep"]["axis"] = axis
+    with pytest.raises(ConfigError, match="expected a dotted path of field names") as info:
+        parse_sweep(doc)
+    assert info.value.path == "sweep.axis"
+
+
+def test_sweep_takes_an_invalid_first_value_as_a_row():
+    sw = parse_sweep(_sweep_doc([-1.0, 5.0]))
+    assert sw.values == (-1.0, 5.0)
+    assert sw.name == "case"
+
+
+def test_sweep_with_no_valid_value_fails_at_the_first_error():
+    with pytest.raises(ConfigError, match="at base.system: inertia H must be positive, got -1.0") as info:
+        parse_sweep(_sweep_doc([-1.0, -2.0]))
+    assert info.value.path == "base.system"
+
+
 def test_apply_axis_deep_copies():
     base = _doc(SMIB_DOC)
     out = apply_axis(base, "system.H", 10.0)
@@ -376,19 +414,9 @@ def _leaves(node, prefix=()):
             yield prefix + (key,)
 
 
-FAULT_T_APPLY = list(_leaves(BUNDLED_DOCS["smib_h5_d5.yaml"])).index(("fault", "t_apply"))
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    name=st.sampled_from(sorted(BUNDLED_DOCS)),
-    edits=st.lists(st.tuples(st.integers(min_value=0, max_value=99), JUNK), min_size=1, max_size=3),
-)
-@example(name="smib_h5_d5.yaml", edits=[(FAULT_T_APPLY, 1.0e308)])
-def test_damaged_bundled_documents_parse_or_raise_config_error(name, edits):
-    """Replacing or deleting 1-3 leaves of a bundled document gives a
-    config or a ConfigError, never another exception (parsing only)."""
-    doc = copy.deepcopy(BUNDLED_DOCS[name])
+def _damage(doc, edits):
+    """Apply (leaf index, JUNK value) edits to ``doc`` in place; the index
+    wraps around the leaf count, and DELETE removes the leaf."""
     leaves = list(_leaves(doc))
     for k, value in edits:
         path = leaves[k % len(leaves)]
@@ -399,6 +427,23 @@ def test_damaged_bundled_documents_parse_or_raise_config_error(name, edits):
             node.pop(path[-1], None)
         else:
             node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+FAULT_T_APPLY = list(_leaves(BUNDLED_DOCS["smib_h5_d5.yaml"])).index(("fault", "t_apply"))
+
+
+# 1-3 leaf edits of a bundled document
+EDITS = st.lists(st.tuples(st.integers(min_value=0, max_value=99), JUNK), min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(name=st.sampled_from(sorted(BUNDLED_DOCS)), edits=EDITS)
+@example(name="smib_h5_d5.yaml", edits=[(FAULT_T_APPLY, 1.0e308)])
+def test_damaged_bundled_documents_parse_or_raise_config_error(name, edits):
+    """Replacing or deleting 1-3 leaves of a bundled document gives a
+    config or a ConfigError, never another exception (parsing only)."""
+    doc = _damage(copy.deepcopy(BUNDLED_DOCS[name]), edits)
     try:
         (parse_sweep if "sweep" in doc else parse_scenario)(doc)
     except ConfigError:

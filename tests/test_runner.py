@@ -252,6 +252,14 @@ def test_run_sweep_tabulates_and_continues_past_errors(tmp_path):
     assert table[1].startswith("system.H,5.0,BoundedNotSynchronized,")
 
 
+def test_run_sweep_records_a_failing_simulation_at_system(tmp_path):
+    doc = {"sweep": {"axis": "system.Pm", "values": [5.0, 0.9]}, "base": SMIB_DOC}
+    rows = run_sweep(parse_sweep(doc), tmp_path)["rows"]
+    assert rows[0]["status"] is None
+    assert rows[0]["error"].startswith("at system: no equilibrium: Pm=5.0 exceeds the maximum transfer")
+    assert rows[1]["status"] == "BoundedNotSynchronized"
+
+
 def test_run_sweep_can_emit_member_series(tmp_path):
     doc = {
         "sweep": {"axis": "system.omega1", "values": [3.0]},

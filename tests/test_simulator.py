@@ -133,11 +133,20 @@ WEAK = SmibParams(H=5.0, D=5.0, x_gen=0.3, x_line_prefault=0.8,
                   x_line_fault=999.0, x_line_postfault=0.8)
 
 
+EDGE_CASES = [
+    (PARAMS, FaultSchedule(0.0, 2.0), 2001),  # applied at t0, cleared at the last sample
+    (PARAMS, FaultSchedule(1.0, 1.001), 2001),  # on for one step
+    (WEAK, FaultSchedule(1.0, 10.0), 10001),  # diverges before t_clear
+    (WEAK, FAULT, 3687),  # diverges on the last step: nothing is cut, yet the run diverged
+]
+EDGE_IDS = ["fault_spans_grid", "one_step_fault", "diverged_during_fault", "diverged_on_last_step"]
+
+
 @pytest.mark.parametrize("params, fault, n", [
     (PARAMS, None, 2001),
     (PARAMS, FAULT, 3001),
     (WEAK, FAULT, 20001),
-], ids=["no_fault", "fault", "diverged"])
+] + EDGE_CASES, ids=["no_fault", "fault", "diverged"] + EDGE_IDS)
 def test_simulate_is_bitwise_the_rk4_reference(params, fault, n):
     grid = TimeGrid(0.0, 1e-3, n)
     sim = smib_simulate(params, fault, grid)
@@ -146,6 +155,20 @@ def test_simulate_is_bitwise_the_rk4_reference(params, fault, n):
     assert sim.grid.n == delta.size
     assert sim.delta.tobytes() == delta.tobytes()
     assert sim.omega_pu.tobytes() == omega.tobytes()
+
+
+@pytest.mark.parametrize("params, fault, n", [(PARAMS, FAULT, 3001)] + EDGE_CASES,
+                         ids=["fault"] + EDGE_IDS)
+def test_network_outputs_take_the_reactance_of_their_sample(params, fault, n):
+    """Sample t_k sees the fault network from t_apply inclusive and the
+    post-fault one from t_clear inclusive, also on a truncated record."""
+    sim = smib_simulate(params, fault, TimeGrid(0.0, 1e-3, n))
+    t = sim.grid.times()
+    x = np.where(t < fault.t_apply - 5e-4, params.x_total("pre"),
+                 np.where(t < fault.t_clear - 5e-4, params.x_total("fault"), params.x_total("post")))
+    i = (params.E * np.exp(1j * sim.delta) - params.V_inf) / (1j * x)
+    assert sim.i_inj.d.tobytes() == i.real.tobytes()
+    assert sim.i_inj.q.tobytes() == i.imag.tobytes()
 
 
 def _rotating():
