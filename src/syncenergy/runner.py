@@ -1,12 +1,13 @@
 """Scenario execution, identity verification, sweeps, and file output.
 
 Series files are CSV with a mandatory header and one row per sample.
-Floats are written with ``repr``, the shortest representation that
-round-trips exactly, so re-running a scenario always produces
-byte-identical output and a re-read series reproduces the analysis to
-machine precision.  The writer formats the columns in chunks of rows,
-which bounds its memory, and the reader parses them with
-``np.loadtxt``.  Summary records are JSON with NaN mapped to null.
+Floats are written as the text ``repr`` gives, the shortest
+representation that round-trips exactly, produced by orjson and
+respelled, so re-running a scenario always produces byte-identical
+output and a re-read series reproduces the analysis to machine
+precision.  The writer formats the columns in chunks of rows, which
+bounds its memory, and the reader parses them with ``np.loadtxt``.
+Summary records are JSON with NaN mapped to null.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .config import CSV_COLUMNS, ConfigError, ScenarioConfig, SweepConfig, apply_axis, parse_scenario
 from .metric import SyncStatus, SyncVerdict, classify_sync
@@ -87,7 +89,17 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioRun:
     try:
         analysis = analyze(v, i, config.estimator, config.pll)
     except ValueError as exc:
-        # on a validated scenario: derivatives overflow, or the record is too short
+        # on a validated scenario: the amplitudes put the SE scale
+        # 2 (max|v| max|i|)^2 past the float range, whatever dt is ...
+        with np.errstate(over="ignore"):
+            v_peak, i_peak = (float(np.max(np.hypot(x.d, x.q))) for x in (v, i))
+        if not math.isfinite(2.0 * (v_peak * i_peak) * (v_peak * i_peak)):
+            raise ConfigError(
+                "system",
+                f"the SE scale 2 (max|v| max|i|)^2 at max|v|={v_peak!r}, max|i|={i_peak!r} "
+                f"is past the float range ({exc})",
+            ) from exc
+        # ... or derivatives overflow, or the record is too short
         raise ConfigError("grid.dt", f"{exc} when analysed at dt={grid.dt!r}") from exc
     verdict = classify_sync(analysis.se, config.policy)
     if diverged:
@@ -145,24 +157,73 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
     return VerifyReport(coarse, fine, order, config.max_identity_gap, passed)
 
 
-# rows formatted per write: bounds the Python floats alive at once
+# rows formatted per write: bounds the text alive at once
 _CHUNK_ROWS = 4096
+
+_E, _PLUS, _MINUS, _ZERO = b"e+-0"
+
+
+def _is_digit(codes: np.ndarray) -> np.ndarray:
+    return (codes >= _ZERO) & (codes <= _ZERO + 9)
+
+
+def _csv_rows(block: np.ndarray) -> np.ndarray:
+    """CSV text of a fresh C-contiguous float64 block, one line per row.
+
+    orjson writes each cell's shortest round-trip digits (Ryu), as
+    ``repr`` does, but spells three things differently: exponents
+    (``e16``, ``e-7`` for ``repr``'s ``e+16``, ``e-07``), non-finite
+    cells (``null``) and 1e-5 <= |x| < 1e-4 (``0.0000d...`` for
+    ``d...e-05``).  The last two are masked before ``dumps`` and spliced
+    back as their ``repr``; the exponents get their ``+`` or ``0`` by
+    one ``np.insert``.  Returns the text as uint8 codes, without the
+    final newline; ``block`` is overwritten.
+    """
+    mag = np.abs(block)
+    odd = ~np.isfinite(block) | ((mag >= 1e-5) & (mag < 1e-4))
+    cells = block[odd]  # row-major, the order of their nulls in the text
+    block[odd] = np.nan
+    # "[[r0c0,r0c1],[r1c0,r1c1]]" -> "[[r0c0,r0c1\nr1c0,r1c1]]"
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\n")
+    if cells.size:
+        pieces = text.split(b"null")
+        spliced = [b""] * (2 * len(pieces) - 1)
+        spliced[::2] = pieces
+        spliced[1::2] = ",".join(map(repr, cells.tolist())).encode("ascii").split(b",")
+        text = b"".join(spliced)
+    # only exponents hold an "e", and the trailing "]]" keeps e + 3 in range
+    buf = np.frombuffer(text, dtype=np.uint8)
+    e = np.flatnonzero(buf == _E)
+    after = buf[e + 1]
+    plus = e[_is_digit(after)] + 1
+    minus = e[after == _MINUS]
+    zero = minus[~_is_digit(buf[minus + 3])] + 2
+    fill = np.repeat(np.array([_PLUS, _ZERO], dtype=np.uint8), (plus.size, zero.size))
+    buf = np.insert(buf, np.concatenate((plus, zero)), fill)
+    return buf[2:-2]
 
 
 def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     """Write selected columns as CSV, ``_CHUNK_ROWS`` rows per write.
 
-    Each column slice becomes Python floats by ``tolist`` and each cell
-    is formatted by ``repr`` (exact round-trip), so numpy's print
-    options never reach the file.
+    Each cell is the text ``repr`` gives (exact round-trip), produced by
+    orjson and respelled, so numpy's print options never reach the file.
+
+    Raises
+    ------
+    ValueError
+        If the selected columns differ in length.
     """
-    arrays = [columns[name] for name in order]
-    n = min(map(len, arrays), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(order) + "\n")
+    arrays = [np.asarray(columns[name], dtype=float) for name in order]
+    n = len(arrays[0]) if arrays else 0
+    for name, col in zip(order, arrays):
+        if len(col) != n:
+            raise ValueError(f"column {name!r} holds {len(col)} samples, column {order[0]!r} holds {n}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(order) + "\n").encode("utf-8"))
         for a in range(0, n, _CHUNK_ROWS):
-            parts = [map(repr, np.asarray(col[a : a + _CHUNK_ROWS], dtype=float).tolist()) for col in arrays]
-            fh.write("".join(row + "\n" for row in map(",".join, zip(*parts))))
+            fh.write(_csv_rows(np.column_stack([col[a : a + _CHUNK_ROWS] for col in arrays])))
+            fh.write(b"\n")
 
 
 def read_series_csv(path) -> dict:

@@ -141,8 +141,8 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     Raises
     ------
     ValueError
-        If no pre-fault equilibrium exists or fault times are not grid
-        samples.
+        If no pre-fault equilibrium exists, fault times are not grid
+        samples, or the rotor state leaves the float range.
     """
     # sample index at which each interval starts
     x_totals, starts = [params.x_total("pre")], [0]
@@ -161,30 +161,36 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     delta[0], omega[0] = d, w
     n_kept = grid.n
     # classical RK4 on (omega_n slip, (Pm - p_max sin(delta) - D slip) / 2H)
-    for x_total, k_lo, k_hi in zip(x_totals, starts, starts[1:] + [n_steps]):
-        p_max = e * v_inf / x_total
-        for k in range(k_lo, k_hi):
-            slip = w - 1.0
-            kd1 = omega_n * slip
-            kw1 = (pm - p_max * sin(d) - d_damp * slip) / two_h
-            slip = w + half * kw1 - 1.0
-            kd2 = omega_n * slip
-            kw2 = (pm - p_max * sin(d + half * kd1) - d_damp * slip) / two_h
-            slip = w + half * kw2 - 1.0
-            kd3 = omega_n * slip
-            kw3 = (pm - p_max * sin(d + half * kd2) - d_damp * slip) / two_h
-            slip = w + dt * kw3 - 1.0
-            kd4 = omega_n * slip
-            kw4 = (pm - p_max * sin(d + dt * kd3) - d_damp * slip) / two_h
-            d = d + sixth * (kd1 + 2.0 * (kd2 + kd3) + kd4)
-            w = w + sixth * (kw1 + 2.0 * (kw2 + kw3) + kw4)
-            delta[k + 1] = d
-            omega[k + 1] = w
-            if abs(d) > DELTA_CAP:
-                n_kept = k + 2
+    try:
+        for x_total, k_lo, k_hi in zip(x_totals, starts, starts[1:] + [n_steps]):
+            p_max = e * v_inf / x_total
+            for k in range(k_lo, k_hi):
+                slip = w - 1.0
+                kd1 = omega_n * slip
+                kw1 = (pm - p_max * sin(d) - d_damp * slip) / two_h
+                slip = w + half * kw1 - 1.0
+                kd2 = omega_n * slip
+                kw2 = (pm - p_max * sin(d + half * kd1) - d_damp * slip) / two_h
+                slip = w + half * kw2 - 1.0
+                kd3 = omega_n * slip
+                kw3 = (pm - p_max * sin(d + half * kd2) - d_damp * slip) / two_h
+                slip = w + dt * kw3 - 1.0
+                kd4 = omega_n * slip
+                kw4 = (pm - p_max * sin(d + dt * kd3) - d_damp * slip) / two_h
+                d = d + sixth * (kd1 + 2.0 * (kd2 + kd3) + kd4)
+                w = w + sixth * (kw1 + 2.0 * (kw2 + kw3) + kw4)
+                delta[k + 1] = d
+                omega[k + 1] = w
+                if abs(d) > DELTA_CAP:
+                    n_kept = k + 2
+                    break
+            if n_kept < grid.n:
                 break
-        if n_kept < grid.n:
-            break
+    except ValueError as exc:
+        # math.sin of an infinite angle; no per-step check slows the loop
+        raise ValueError(
+            f"rotor state left the float range in the RK4 step from t={grid.t0 + k * dt!r} ({exc})"
+        ) from exc
 
     out_grid = grid if n_kept == grid.n else TimeGrid(grid.t0, grid.dt, n_kept)
     delta, omega = delta[:n_kept], omega[:n_kept]

@@ -182,7 +182,8 @@ def test_variance_cancelling_runs_or_exits_2_at_its_rate(tmp_path, capsys, rate,
 
 @pytest.mark.parametrize("system, message", [
     ({"Pm": 5.0}, "no equilibrium: Pm=5.0 exceeds the maximum transfer 2.2000"),
-    ({"H": 2.0e-308}, "math domain error"),
+    # the rotor state overflows when the fault applies, and math.sin(inf) fails
+    ({"H": 2.0e-308}, "rotor state left the float range in the RK4 step from t=1.0 (math domain error)"),
     # the network solution overflows: (E e^{j delta} - V_inf) / (j x_total)
     ({"E": 1.0e308, "Pm": 0.0}, "d contains non-finite samples"),
 ])
@@ -292,6 +293,27 @@ def _leaf(name, *path):
     return list(_leaves(_small(name))).index(path)
 
 
+@pytest.mark.parametrize("name, system", [
+    ("synth_variance_cancel.yaml", {"v_mag": 1.0e308, "envelope_rate": 7.0}),
+    ("smib_x3.yaml", {"E": 1.0e308}),
+])
+@pytest.mark.parametrize("dt", [2.0e-3, 1.0e-3])
+def test_run_exits_2_at_system_when_the_amplitudes_overflow_the_se_scale(tmp_path, capsys, name, system, dt):
+    """The SE scale 2 (max|v| max|i|)^2 is past the float range, which no dt
+    mends: the run is refused at system, not at grid.dt."""
+    doc = _small(name)
+    doc["system"].update(system)
+    doc["grid"]["dt"] = dt
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at system: the SE scale 2 (max|v| max|i|)^2 at max|v|="), err
+    assert "is past the float range" in err and err.count("\n") == 1
+
+
 @settings(deadline=None, max_examples=400)
 @given(name=st.sampled_from(sorted(BUNDLED_DOCS)), edits=EDITS)
 # a machine that fails to simulate: no equilibrium, a math domain error,
@@ -300,6 +322,11 @@ def _leaf(name, *path):
 @example(name="smib_h5_d5.yaml", edits=[(_leaf("smib_h5_d5.yaml", "system", "H"), 2.0e-308)])
 @example(name="smib_h5_d5.yaml", edits=[(_leaf("smib_h5_d5.yaml", "system", "E"), 1.0e308),
                                         (_leaf("smib_h5_d5.yaml", "system", "Pm"), 0.0)])
+# amplitudes that put the SE scale past the float range
+@example(name="synth_variance_cancel.yaml",
+         edits=[(_leaf("synth_variance_cancel.yaml", "system", "v_mag"), 1.0e308),
+                (_leaf("synth_variance_cancel.yaml", "system", "envelope_rate"), 7.0)])
+@example(name="smib_x3.yaml", edits=[(_leaf("smib_x3.yaml", "system", "E"), 1.0e308)])
 # sweep errors: a defect in the base, an empty axis, an invalid first value
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "base", "system", "D"), {"dt": 1})])
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "axis"), "")])

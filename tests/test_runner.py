@@ -116,7 +116,7 @@ def test_series_csv_roundtrip_is_exact(tmp_path):
 
 
 def test_series_csv_ignores_numpy_print_options(tmp_path):
-    """Floats are written by repr, not by numpy's str, which follows print options."""
+    """Floats are written as repr spells them, not by numpy's str, which follows print options."""
     path = tmp_path / "legacy.csv"
     with np.printoptions(legacy="1.13"):
         write_series_csv(path, {"t": np.array([0.1 + 0.2, 1.0 / 3.0])}, ("t",))
@@ -165,10 +165,33 @@ def test_series_csv_malformed_body_raises_value_error(tmp_path, body):
         read_series_csv(path)
 
 
-# cells no random bit pattern is likely to hit
+def test_series_csv_refuses_columns_of_different_lengths(tmp_path):
+    path = tmp_path / "ragged.csv"
+    columns = {"t": np.zeros(5), "p": np.zeros(4)}
+    with pytest.raises(ValueError, match=r"column 'p' holds 4 samples, column 't' holds 5"):
+        write_series_csv(path, columns, ("t", "p"))
+    assert not path.exists()
+
+
+def _repr_series_csv(path, columns, order):
+    """Reference writer: every cell formatted by ``repr``, one row at a time."""
+    arrays = [np.asarray(columns[name], dtype=float).tolist() for name in order]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(order) + "\n")
+        for row in zip(*arrays):
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _decade_neighbours(*decades):
+    return [x for d in decades for x in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf))]
+
+
+# cells no random bit pattern is likely to hit, and the edges where the
+# spellings of repr and orjson part: 1e-5 <= |x| < 1e-4 and |x| >= 1e16
 _SPECIAL_FLOATS = np.array([
-    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
     2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max, 0.1 + 0.2, 1.0 / 3.0,
+    1.5e-5, -1.5e-5, *_decade_neighbours(1e-5, -1e-5, 1e-4, -1e-4, 1e16, -1e16),
 ])
 
 
@@ -187,8 +210,10 @@ def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
         col[where] = rng.choice(_SPECIAL_FLOATS, size=int(where.sum()))
         columns[name] = col
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bits.csv"
+        path, reference = Path(tmp) / "bits.csv", Path(tmp) / "reference.csv"
         write_series_csv(path, columns, names)
+        _repr_series_csv(reference, columns, names)
+        assert path.read_bytes() == reference.read_bytes()
         back = read_series_csv(path)
     assert tuple(back) == names
     for name in names:
