@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncenergy import runner
 from syncenergy.config import CSV_COLUMNS, parse_scenario, parse_sweep
 from syncenergy.metric import SyncStatus
 from syncenergy.runner import (
@@ -143,7 +146,7 @@ def test_series_csv_header_only_reads_as_empty_columns(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("t,p\n", encoding="utf-8")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt's "input contained no data" included
+        warnings.simplefilter("error")
         back = read_series_csv(path)
     assert tuple(back) == ("t", "p")
     for column in back.values():
@@ -165,6 +168,70 @@ def test_series_csv_malformed_body_raises_value_error(tmp_path, body):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("cell", [
+    "+1.5", ".5", "1.", "01", "1E5", "Infinity", "NaN", "-nan", " 1.5", "1e400",
+    "true", "false", "null", '"1.0"', "[1.0]", "{}", "",
+])
+def test_series_csv_refuses_cells_outside_the_writer_grammar(tmp_path, cell):
+    """Spellings np.loadtxt took, and JSON tokens that are no numbers, are refused at their line."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,p,q\n0.0,1.0,2.0\n1.0,{cell},2.0\n3.0,4.0,5.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0.0,1.0\r\n", 2),  # CRLF line end
+    ("0.0,1.0\n\n2.0,3.0\n", 3),  # blank line
+    ("0.0,1.0\n2.0\n4.0,5.0\n", 3),  # ragged row
+    ("0.0,1.0\n2.0,3.0,4.0\n", 3),  # a row wider than the header
+    ("0.0,1.0\n2.0,3.0", 3),  # the last line has no newline
+])
+def test_series_csv_refusal_names_the_line_of_the_first_bad_row(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t,p\n" + body.encode("ascii"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: ")):
+        read_series_csv(path)
+
+
+def test_series_csv_bad_cell_past_the_first_block_names_its_line(tmp_path):
+    n_good = runner._BLOCK_BYTES // 4 + 1000  # 4 bytes a row: the bad row sits in the second block
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"t\n" + b"0.0\n" * n_good + b"1.0\n+1.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {n_good + 3}: ")):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("", "empty file"),
+    ("t,p", "line 1: the header has no newline"),
+    ("t,t\n0.0,1.0\n", "line 1: column name 't' is repeated"),
+    ("t,\n0.0,1.0\n", "line 1: column name '' is empty"),
+    ("\n", "line 1: column name '' is empty"),
+])
+def test_series_csv_refuses_a_bad_header(tmp_path, text, fault):
+    path = tmp_path / "header.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}") + ".*" + re.escape(fault)):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize("order, fault", [
+    (("t", "t"), "column name 't' is repeated"),
+    (("t", ""), "column name '' is empty"),
+    (("a,b",), "column name 'a,b' is empty or holds"),
+    (("a\nb",), "column name 'a\\nb' is empty or holds"),
+    (("a\rb",), "column name 'a\\rb' is empty or holds"),
+    ((), "no columns named"),
+])
+def test_series_csv_writer_refuses_a_header_it_cannot_read_back(tmp_path, order, fault):
+    path = tmp_path / "names.csv"
+    columns = {name: np.zeros(3) for name in order}
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        write_series_csv(path, columns, order)
+    assert not path.exists()
+
+
 def test_series_csv_refuses_columns_of_different_lengths(tmp_path):
     path = tmp_path / "ragged.csv"
     columns = {"t": np.zeros(5), "p": np.zeros(4)}
@@ -182,6 +249,61 @@ def _repr_series_csv(path, columns, order):
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def _loadtxt_series_csv(path):
+    """Reference reader: the body parsed by ``np.loadtxt``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+    data = data.reshape(-1, len(names))
+    return {name: data[:, k] for k, name in enumerate(names)}
+
+
+def _assert_same_bits(got, want):
+    assert tuple(got) == tuple(want)
+    for name in want:
+        assert got[name].shape == want[name].shape and got[name].dtype == float, name
+        nan = np.isnan(want[name])
+        np.testing.assert_array_equal(np.isnan(got[name]), nan, err_msg=name)
+        assert got[name][~nan].tobytes() == want[name][~nan].tobytes(), name
+
+
+def _finite_spelling(x: float, digits: int) -> str:
+    """``x`` in the writer's repr or with ``digits`` mantissa digits (e+NN / e-0N exponents)."""
+    return repr(x) if digits < 0 else f"{x:.{digits}e}"
+
+
+_FINITE_CELL = st.builds(
+    _finite_spelling, st.floats(allow_nan=False, allow_infinity=False), st.integers(-1, 17)
+).filter(lambda text: np.isfinite(float(text)))  # a rounded spelling may pass the float range
+
+_CELL = st.one_of(
+    _FINITE_CELL,
+    st.integers(-(10**25), 10**25).map(str),  # JSON ints, also past 64 bits
+    st.sampled_from(["-0", "0", "-0.0", "0.0", "-0e0", "1e-0", "1e+00", "5e-324", "inf", "-inf", "nan"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    block_bytes=st.sampled_from([1, 32, 256, runner._BLOCK_BYTES]),  # 1: every line its own block
+    data=st.data(),
+)
+def test_series_csv_reader_matches_loadtxt_on_the_writer_grammar(width, block_bytes, data):
+    rows = data.draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), max_size=40))
+    names = CSV_COLUMNS[:width]
+    body = "".join(",".join(row) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cells.csv"
+        path.write_text(",".join(names) + "\n" + body, encoding="utf-8")
+        with mock.patch.object(runner, "_BLOCK_BYTES", block_bytes):
+            got = read_series_csv(path)
+        want = _loadtxt_series_csv(path)
+    _assert_same_bits(got, want)
+
+
 def _decade_neighbours(*decades):
     return [x for d in decades for x in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf))]
 
@@ -197,7 +319,9 @@ _SPECIAL_FLOATS = np.array([
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n_rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]),  # both sides of the chunk edges
+    # both sides of the writer's chunk edges; 4 095 rows of one column
+    # (~22 bytes a cell) span two reader blocks, 20 000 rows many
+    n_rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8193, 20_000]),
     names=st.permutations(CSV_COLUMNS).flatmap(lambda p: st.integers(1, 5).map(lambda k: tuple(p[:k]))),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -214,14 +338,9 @@ def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
         write_series_csv(path, columns, names)
         _repr_series_csv(reference, columns, names)
         assert path.read_bytes() == reference.read_bytes()
+        assert n_rows < 4095 or path.stat().st_size > runner._BLOCK_BYTES
         back = read_series_csv(path)
-    assert tuple(back) == names
-    for name in names:
-        want, got = columns[name], back[name]
-        assert got.shape == (n_rows,) and got.dtype == float
-        nan = np.isnan(want)
-        np.testing.assert_array_equal(np.isnan(got), nan, err_msg=name)
-        assert got[~nan].tobytes() == want[~nan].tobytes(), name
+    _assert_same_bits(back, columns)
 
 
 # ------------------------------------------------------------- run_scenario
