@@ -24,7 +24,6 @@ from .signals import (
 from .energy import (
     EDGE_WIDTH,
     conditional_variance,
-    teo_complex,
     teo_real,
 )
 from .metric import (
@@ -46,7 +45,6 @@ from .simulator import (
     SyntheticSpec,
     equilibrium_angle,
     smib_simulate,
-    swing_energy,
     synthetic_signal,
 )
 from .pipeline import AnalysisResult, IdentityReport, analyze, identity_gap
@@ -55,8 +53,7 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     SweepConfig,
-    load_scenario,
-    load_sweep,
+    load_document,
     parse_scenario,
     parse_sweep,
 )

@@ -6,8 +6,8 @@
     syncenergy scenarios list        show the bundled scenario files
 
 Configs are YAML files; a bare name refers to a bundled scenario.  Exit
-codes: 0 success, 2 configuration or schema error, 3 verification bound
-exceeded.
+codes: 0 success, 2 configuration or schema error or a config path or
+output directory the OS refuses, 3 verification bound exceeded.
 """
 
 from __future__ import annotations
@@ -163,6 +163,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # names the path and the OS's reason
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

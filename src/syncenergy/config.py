@@ -436,11 +436,3 @@ def load_document(path) -> dict:
     if len(docs) != 1:
         raise ConfigError("", f"expected a single YAML document, found {len(docs)}")
     return docs[0]
-
-
-def load_scenario(path) -> ScenarioConfig:
-    return parse_scenario(load_document(path), str(path))
-
-
-def load_sweep(path) -> SweepConfig:
-    return parse_sweep(load_document(path), str(path))

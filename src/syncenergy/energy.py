@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import EPS_MAG, ParkSeries, TimeGrid, _as_series, differentiate
+from .signals import EPS_MAG, TimeGrid, _as_series, differentiate
 
 # samples at each end whose value rests on composed one-sided stencils
 EDGE_WIDTH = 2
@@ -81,20 +81,6 @@ def teo_real(x, grid: TimeGrid) -> np.ndarray:
     xd = differentiate(x, grid)
     xdd = differentiate(xd, grid)
     return xd * xd - x * xdd
-
-
-def teo_complex(x: ParkSeries) -> np.ndarray:
-    """Complex TEO psi_c(xbar) = |dxbar/dt|^2 - Re(d2xbar/dt2 conj(xbar)).
-
-    Decomposes as psi(x_d) + psi(x_q) up to floating-point association,
-    since both components are differentiated with the same stencils.
-    """
-    _require_min_samples(x.grid.n, "teo_complex")
-    dd = differentiate(x.d, x.grid)
-    qd = differentiate(x.q, x.grid)
-    ddd = differentiate(dd, x.grid)
-    qdd = differentiate(qd, x.grid)
-    return (dd * dd + qd * qd) - (ddd * x.d + qdd * x.q)
 
 
 def conditional_variance(a, grid: TimeGrid) -> np.ndarray:

@@ -5,9 +5,9 @@ Floats are written as the text ``repr`` gives, the shortest
 representation that round-trips exactly, produced by orjson and
 respelled, so re-running a scenario always produces byte-identical
 output and a re-read series reproduces the analysis to machine
-precision.  The writer formats the columns in chunks of rows and the
-reader parses them with orjson in blocks of lines, which bounds the
-memory of both; the reader takes exactly the writer's grammar.
+precision.  The writer formats chunks of rows, every other one on a
+worker thread, and the reader parses blocks of lines with orjson, which
+bounds the memory of both; the reader takes exactly the writer's grammar.
 Summary records are JSON with NaN mapped to null.
 """
 
@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,16 +159,12 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
     return VerifyReport(coarse, fine, order, config.max_identity_gap, passed)
 
 
-# rows formatted per write: bounds the text alive at once; at 4096 rows of
-# 18 columns the writer ran 20-30 % slower unless earlier work had left
-# the allocator holding large free blocks
-_CHUNK_ROWS = 2048
+# rows per chunk, at most three in flight: bounds the text alive at once
+_CHUNK_ROWS = 1024
 
-_E, _PLUS, _MINUS, _ZERO = b"e+-0"
-
-
-def _is_digit(codes: np.ndarray) -> np.ndarray:
-    return (codes >= _ZERO) & (codes <= _ZERO + 9)
+_E, _MINUS, _COMMA, _LF = b"e-,\n"
+_IS_DIGIT = np.array([bytes([c]).isdigit() for c in range(256)])
+_NAN_INF = np.frombuffer(b"nan,inf,-inf", dtype=np.uint8).reshape(3, 4)
 
 
 def _csv_rows(block: np.ndarray) -> np.ndarray:
@@ -177,33 +174,40 @@ def _csv_rows(block: np.ndarray) -> np.ndarray:
     ``repr`` does, but spells three things differently: exponents
     (``e16``, ``e-7`` for ``repr``'s ``e+16``, ``e-07``), non-finite
     cells (``null``) and 1e-5 <= |x| < 1e-4 (``0.0000d...`` for
-    ``d...e-05``).  The last two are masked before ``dumps`` and spliced
-    back as their ``repr``; the exponents get their ``+`` or ``0`` by
-    one ``np.insert``.  Returns the text as uint8 codes, without the
-    final newline; ``block`` is overwritten.
+    ``d...e-05``).  The raveled block is dumped once, non-finite cells
+    as ``0.0`` (``-0.0`` for -inf), and respelled by numpy alone, which
+    releases the GIL: non-finite cells and row ends are overwritten,
+    ``0.0000`` is masked out and one ``np.insert`` adds the other bytes.
+    Returns uint8 codes, newline included; ``block`` is overwritten.
     """
-    mag = np.abs(block)
-    odd = ~np.isfinite(block) | ((mag >= 1e-5) & (mag < 1e-4))
-    cells = block[odd]  # row-major, the order of their nulls in the text
-    block[odd] = np.nan
-    # "[[r0c0,r0c1],[r1c0,r1c1]]" -> "[[r0c0,r0c1\nr1c0,r1c1]]"
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"],[", b"\n")
-    if cells.size:
-        pieces = text.split(b"null")
-        spliced = [b""] * (2 * len(pieces) - 1)
-        spliced[::2] = pieces
-        spliced[1::2] = ",".join(map(repr, cells.tolist())).encode("ascii").split(b",")
-        text = b"".join(spliced)
-    # only exponents hold an "e", and the trailing "]]" keeps e + 3 in range
-    buf = np.frombuffer(text, dtype=np.uint8)
+    width = block.shape[1]
+    cells = block.ravel()
+    band = np.flatnonzero((np.abs(cells) >= 1e-5) & (np.abs(cells) < 1e-4))
+    odd = np.flatnonzero(~np.isfinite(cells))
+    kind = (cells[odd] == np.inf) + 2 * (cells[odd] == -np.inf)  # nan, inf, -inf
+    cells[odd] = np.where(kind == 2, -0.0, 0.0)
+    buf = np.frombuffer(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY), dtype=np.uint8).copy()
+    # "[c0,c1,c2,c3]": cell k lies between bounds[k] and bounds[k + 1]
+    bounds = np.concatenate(([0], np.flatnonzero(buf == _COMMA), [buf.size - 1]))
+    buf[bounds[odd, None] + np.arange(1, 5)] = _NAN_INF[kind]  # "0.0," -> "nan,"
+    buf[bounds[width::width]] = _LF
+    # only exponents hold an "e", and the final newline keeps e + 3 in range
     e = np.flatnonzero(buf == _E)
     after = buf[e + 1]
-    plus = e[_is_digit(after)] + 1
+    plus = e[_IS_DIGIT[after]] + 1
     minus = e[after == _MINUS]
-    zero = minus[~_is_digit(buf[minus + 3])] + 2
-    fill = np.repeat(np.array([_PLUS, _ZERO], dtype=np.uint8), (plus.size, zero.size))
-    buf = np.insert(buf, np.concatenate((plus, zero)), fill)
-    return buf[2:-2]
+    zero = minus[~_IS_DIGIT[buf[minus + 3]]] + 2
+    # "0.0000d" and more digits -> "d" "." more digits "e-05"
+    lead, end = bounds[band] + 1 + (cells[band] < 0), bounds[band + 1]
+    dot = lead[end - lead > 7] + 7
+    at = np.concatenate((plus, zero, dot, np.repeat(end, 4)))
+    fill = np.concatenate((np.repeat(list(b"+0."), (plus.size, zero.size, dot.size)), np.tile(list(b"e-05"), end.size)))
+    if band.size:
+        keep = np.ones(buf.size, dtype=bool)
+        keep[lead[:, None] + np.arange(6)] = False
+        buf = buf[keep]
+        at -= 6 * np.searchsorted(lead, at)
+    return np.insert(buf, at, fill)[1:]
 
 
 def _check_names(names) -> None:
@@ -226,6 +230,9 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
 
     Each cell is the text ``repr`` gives (exact round-trip), produced by
     orjson and respelled, so numpy's print options never reach the file.
+    One worker thread formats every other chunk, the calling thread the
+    rest and writes all in order, at most three in flight; it raises an
+    exception from either thread once the worker has ended.
 
     Raises
     ------
@@ -240,11 +247,39 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     for name, col in zip(order, arrays):
         if len(col) != n:
             raise ValueError(f"column {name!r} holds {len(col)} samples, column {order[0]!r} holds {n}")
+
+    def chunk(a: int):
+        return _csv_rows(np.column_stack([col[a : a + _CHUNK_ROWS] for col in arrays])) if a < n else b""
+
+    todo, done = threading.Semaphore(1), threading.Semaphore(0)
+    box = [_CHUNK_ROWS, None]  # the worker's next start; its text or exception
+
+    def work() -> None:
+        while todo.acquire() and (a := box[0]) is not None:
+            try:
+                box[1] = chunk(a)
+            except BaseException as exc:  # raised by the calling thread
+                box[1] = exc
+            done.release()
+
     with open(path, "wb") as fh:
         fh.write((",".join(order) + "\n").encode("utf-8"))
-        for a in range(0, n, _CHUNK_ROWS):
-            fh.write(_csv_rows(np.column_stack([col[a : a + _CHUNK_ROWS] for col in arrays])))
-            fh.write(b"\n")
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            for a in range(0, n, 2 * _CHUNK_ROWS):
+                mine = chunk(a)
+                done.acquire()
+                if isinstance(box[1], BaseException):
+                    raise box[1]
+                text, box[0] = box[1], a + 3 * _CHUNK_ROWS
+                todo.release()  # the worker starts on the next pair
+                fh.write(mine)
+                fh.write(text)
+        finally:
+            box[0] = None
+            todo.release()
+            worker.join()
 
 
 # body text parsed per orjson call, cut at a line end: bounds the bytes and

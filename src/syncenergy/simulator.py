@@ -204,19 +204,6 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     return SimResult(out_grid, delta, omega, v_bus, i_inj, abs(d) > DELTA_CAP)
 
 
-def swing_energy(params: SmibParams, delta, omega_pu, interval: str = "pre") -> np.ndarray:
-    """Energy function H omega_n (omega-1)^2 - Pm delta - (E V_inf/x) cos delta.
-
-    Conserved along undamped (D = 0) trajectories of a fixed network
-    interval; its drift measures integrator error.
-    """
-    delta = np.asarray(delta, dtype=float)
-    omega_pu = np.asarray(omega_pu, dtype=float)
-    p_max = params.E * params.V_inf / params.x_total(interval)
-    slip = omega_pu - 1.0
-    return params.H * params.omega_n * slip * slip - params.Pm * delta - p_max * np.cos(delta)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Closed-form (v, i) pair on a grid; fields are read per template.

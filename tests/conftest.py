@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from syncenergy.config import load_scenario
+from syncenergy.config import load_document, parse_scenario
 from syncenergy.runner import execute_scenario
 
 
@@ -24,7 +24,7 @@ def load_bundled(bundled_dir):
 
     def load(name):
         with resources.as_file(bundled_dir.joinpath(f"{name}.yaml")) as path:
-            return load_scenario(path)
+            return parse_scenario(load_document(path))
 
     return load
 

@@ -25,15 +25,16 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from test_energy import teo_complex
+from test_simulator import swing_energy
 
-from syncenergy.config import load_sweep
-from syncenergy.energy import EDGE_WIDTH, conditional_variance, teo_complex, teo_real
+from syncenergy.config import load_document, parse_sweep
+from syncenergy.energy import EDGE_WIDTH, conditional_variance, teo_real
 from syncenergy.metric import SyncStatus
 from syncenergy.pll import PllParams, pll_run
 from syncenergy.runner import (execute_scenario, run_sweep, verify_scenario,
                                write_series_csv)
 from syncenergy.signals import ParkSeries, TimeGrid, complex_frequency
-from syncenergy.simulator import swing_energy
 
 SWEEP_SCENARIOS = ("sweep_inertia", "sweep_damping", "sweep_distance")
 
@@ -297,7 +298,7 @@ def test_12_bundled_scenarios_are_deterministic(capsys, tmp_path, scenario_runs,
         path_b.unlink()
     for name in SWEEP_SCENARIOS:
         with resources.as_file(bundled_dir.joinpath(f"{name}.yaml")) as path:
-            sweep = load_sweep(path)
+            sweep = parse_sweep(load_document(path))
         run_sweep(sweep, a_dir, emit_series=False)
         run_sweep(sweep, b_dir, emit_series=False)
         table = f"{name}.sweep.csv"

@@ -130,6 +130,28 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
     assert "config error at grid.dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, path, reason",
+    [
+        (["run", "synth_constant", "--out-dir", "afile"], "afile", "File exists"),
+        (["run", "synth_constant", "--out-dir", "afile/sub"], "afile/sub", "Not a directory"),
+        (["run", "adir"], "adir", "Is a directory"),
+        (["sweep", "adir"], "adir", "Is a directory"),
+        (["verify", "adir"], "adir", "Is a directory"),
+    ],
+)
+def test_cli_exits_2_naming_a_path_the_os_refuses(tmp_path, monkeypatch, capsys, argv, path, reason):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert repr(path) in captured.err and reason in captured.err, captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+
+
 def test_run_refuses_a_name_that_leaves_the_out_dir(tmp_path, capsys):
     doc = tmp_path / "work" / "escape.yaml"
     doc.parent.mkdir()

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from syncenergy.energy import (
-    EDGE_WIDTH,
-    conditional_variance,
-    teo_complex,
-    teo_real,
-)
+from syncenergy.energy import EDGE_WIDTH, conditional_variance, teo_real
 from syncenergy.pipeline import analyze
-from syncenergy.signals import ParkSeries, TimeGrid
+from syncenergy.signals import ParkSeries, TimeGrid, differentiate
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
 
 GRID = TimeGrid(0.0, 1e-3, 2001)
@@ -66,6 +61,16 @@ def test_teo_requires_five_samples():
 
 
 # ------------------------------------------------------------- teo_complex
+
+def teo_complex(x: ParkSeries) -> np.ndarray:
+    """Oracle: the complex TEO psi_c(xbar) = |dxbar/dt|^2 - Re(d2xbar/dt2 conj(xbar)),
+    with the stencils of ``teo_real``."""
+    dd = differentiate(x.d, x.grid)
+    qd = differentiate(x.q, x.grid)
+    ddd = differentiate(dd, x.grid)
+    qdd = differentiate(qd, x.grid)
+    return (dd * dd + qd * qd) - (ddd * x.d + qdd * x.q)
+
 
 def test_complex_teo_equals_component_sum():
     d = np.cos(2.0 * T) + 0.4 * np.cos(5.0 * T + 0.7)

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import re
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -11,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncenergy import runner
@@ -313,18 +315,22 @@ def _decade_neighbours(*decades):
 _SPECIAL_FLOATS = np.array([
     0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
     2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max, 0.1 + 0.2, 1.0 / 3.0,
-    1.5e-5, -1.5e-5, *_decade_neighbours(1e-5, -1e-5, 1e-4, -1e-4, 1e16, -1e16),
+    1.5e-5, -1.5e-5, 5e-05, 1.234e-05, -9.99e-05, 1.2345678901234567e-05,
+    *_decade_neighbours(1e-5, -1e-5, 1e-4, -1e-4, 1e16, -1e16),
 ])
+# both sides of the writer's chunk edges, ending on an odd and an even chunk count
+_CHUNK_EDGES = [k * runner._CHUNK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    # both sides of the writer's chunk edges; 4 095 rows of one column
-    # (~22 bytes a cell) span two reader blocks, 20 000 rows many
-    n_rows=st.sampled_from([0, 1, 4095, 4096, 4097, 8193, 20_000]),
+    # 4 095 rows of one column (~22 bytes a cell) span two reader blocks,
+    # 20 000 rows many
+    n_rows=st.sampled_from([0, 1, 4095, 20_000, *_CHUNK_EDGES]),
     names=st.permutations(CSV_COLUMNS).flatmap(lambda p: st.integers(1, 5).map(lambda k: tuple(p[:k]))),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n_rows=2 * runner._CHUNK_ROWS + 1, names=CSV_COLUMNS, seed=0)
 def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
     rng = np.random.default_rng(seed)
     columns = {}
@@ -341,6 +347,30 @@ def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
         assert n_rows < 4095 or path.stat().st_size > runner._BLOCK_BYTES
         back = read_series_csv(path)
     _assert_same_bits(back, columns)
+
+
+@pytest.mark.parametrize("failing", [1, 2])  # chunk 1 on the worker, chunk 2 on the calling thread
+def test_series_csv_writer_raises_a_formatting_error_from_either_thread(tmp_path, monkeypatch, failing):
+    n_rows = 4 * runner._CHUNK_ROWS
+    columns = {"t": np.arange(float(n_rows)), "p": np.ones(n_rows)}
+    error = RuntimeError(f"chunk {failing}")
+    format_rows = runner._csv_rows
+
+    def flaky(block):
+        chunk = int(block[0, 0]) // runner._CHUNK_ROWS
+        assert (threading.current_thread() is threading.main_thread()) == (chunk % 2 == 0)
+        if chunk == failing:
+            raise error
+        if chunk % 2:
+            time.sleep(0.05)  # the worker is still busy when the calling thread fails
+        return format_rows(block)
+
+    monkeypatch.setattr(runner, "_csv_rows", flaky)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        write_series_csv(tmp_path / "s.csv", columns, ("t", "p"))
+    assert raised.value is error
+    assert threading.active_count() == threads
 
 
 # ------------------------------------------------------------- run_scenario

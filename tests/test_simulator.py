@@ -17,7 +17,6 @@ from syncenergy.simulator import (
     SyntheticSpec,
     equilibrium_angle,
     smib_simulate,
-    swing_energy,
     synthetic_signal,
 )
 
@@ -386,6 +385,15 @@ def test_simulate_truncates_on_angle_escape():
     assert abs(sim.delta[-1]) > DELTA_CAP
     assert abs(sim.delta[-2]) <= DELTA_CAP
     assert sim.v_bus.d.shape == (sim.grid.n,)
+
+
+def swing_energy(params: SmibParams, delta, omega_pu, interval: str = "pre") -> np.ndarray:
+    """Oracle: the energy function H omega_n (omega-1)^2 - Pm delta - (E V_inf/x) cos delta,
+    conserved along undamped (D = 0) trajectories of a fixed network
+    interval; its drift measures integrator error."""
+    p_max = params.E * params.V_inf / params.x_total(interval)
+    slip = omega_pu - 1.0
+    return params.H * params.omega_n * slip * slip - params.Pm * delta - p_max * np.cos(delta)
 
 
 def test_swing_energy_conserved_without_damping():
