@@ -157,12 +157,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error {exc}" if str(exc).startswith("at ") else f"config error: {exc}",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a ConfigError with a path reads "at <path>: ..."
+        print(f"config error {exc}" if getattr(exc, "path", "") else f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # names the path and the OS's reason
         print(f"error: {exc}", file=sys.stderr)

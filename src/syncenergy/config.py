@@ -303,7 +303,7 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     system = _mapping(top.pop("system", None), "system")
     if not system:
         raise ConfigError("system", "required section missing")
-    grid = _parse_grid(top.pop("grid", None) or None, "grid")
+    grid = _parse_grid(top.pop("grid", None), "grid")
     kind = _choice(_string(system, "kind", "system", required=True), ("smib", "synthetic"), "system.kind")
 
     smib = fault = synthetic = None

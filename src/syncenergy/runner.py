@@ -5,9 +5,10 @@ Floats are written as the text ``repr`` gives, the shortest
 representation that round-trips exactly, produced by orjson and
 respelled, so re-running a scenario always produces byte-identical
 output and a re-read series reproduces the analysis to machine
-precision.  The writer formats chunks of rows, every other one on a
-worker thread, and the reader parses blocks of lines with orjson, which
-bounds the memory of both; the reader takes exactly the writer's grammar.
+precision.  The writer formats chunks of rows, every other one on the
+one thread of a ``ThreadPoolExecutor``, and the reader parses blocks of
+lines with orjson, which bounds the memory of both; the reader takes
+exactly the writer's grammar.
 Summary records are JSON with NaN mapped to null.
 """
 
@@ -18,14 +19,13 @@ import dataclasses
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import orjson
 
-from .config import CSV_COLUMNS, ConfigError, ScenarioConfig, SweepConfig, apply_axis, parse_scenario
+from .config import CSV_COLUMNS, MAX_SAMPLES, ConfigError, ScenarioConfig, SweepConfig, apply_axis, parse_scenario
 from .metric import SyncStatus, SyncVerdict, classify_sync
 from .pipeline import AnalysisResult, IdentityReport, analyze, identity_gap
 from .simulator import smib_simulate, synthetic_signal
@@ -142,9 +142,20 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
 
     The observed convergence order is log2 of the gap ratio; it is None
     when either gap vanishes (exactly representable scenarios).
+
+    Raises
+    ------
+    ConfigError
+        At ``grid.dt``, before anything runs, if the dt/2 grid would
+        pass ``MAX_SAMPLES``.
     """
+    n_fine = 2 * config.grid.n - 1
+    if n_fine > MAX_SAMPLES:
+        raise ConfigError(
+            "grid.dt", f"verify runs {config.grid.n} samples and then {n_fine} at dt/2; at most {MAX_SAMPLES}"
+        )
     coarse = execute_scenario(config).identity
-    fine_grid = TimeGrid(0.0, config.grid.dt / 2.0, 2 * config.grid.n - 1)
+    fine_grid = TimeGrid(0.0, config.grid.dt / 2.0, n_fine)
     fine_config = dataclasses.replace(config, grid=fine_grid)
     if config.synthetic is not None:
         fine_config = dataclasses.replace(
@@ -230,9 +241,10 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
 
     Each cell is the text ``repr`` gives (exact round-trip), produced by
     orjson and respelled, so numpy's print options never reach the file.
-    One worker thread formats every other chunk, the calling thread the
-    rest and writes all in order, at most three in flight; it raises an
-    exception from either thread once the worker has ended.
+    A one-thread ``ThreadPoolExecutor`` formats the odd chunks, the
+    calling thread the even ones and writes all in order, at most three
+    in flight.  An exception from either thread is raised as it was
+    raised, once the worker thread has ended.
 
     Raises
     ------
@@ -251,35 +263,19 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     def chunk(a: int):
         return _csv_rows(np.column_stack([col[a : a + _CHUNK_ROWS] for col in arrays])) if a < n else b""
 
-    todo, done = threading.Semaphore(1), threading.Semaphore(0)
-    box = [_CHUNK_ROWS, None]  # the worker's next start; its text or exception
+    # imported here: concurrent.futures loads logging and queue, which the
+    # runs that write no series would pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work() -> None:
-        while todo.acquire() and (a := box[0]) is not None:
-            try:
-                box[1] = chunk(a)
-            except BaseException as exc:  # raised by the calling thread
-                box[1] = exc
-            done.release()
-
-    with open(path, "wb") as fh:
+    with open(path, "wb") as fh, ThreadPoolExecutor(1) as worker:
         fh.write((",".join(order) + "\n").encode("utf-8"))
-        worker = threading.Thread(target=work)
-        worker.start()
-        try:
-            for a in range(0, n, 2 * _CHUNK_ROWS):
-                mine = chunk(a)
-                done.acquire()
-                if isinstance(box[1], BaseException):
-                    raise box[1]
-                text, box[0] = box[1], a + 3 * _CHUNK_ROWS
-                todo.release()  # the worker starts on the next pair
-                fh.write(mine)
-                fh.write(text)
-        finally:
-            box[0] = None
-            todo.release()
-            worker.join()
+        odd = worker.submit(chunk, _CHUNK_ROWS)
+        for a in range(0, n, 2 * _CHUNK_ROWS):
+            mine = chunk(a)
+            text = odd.result()
+            odd = worker.submit(chunk, a + 3 * _CHUNK_ROWS)  # the next pair's, before the writes
+            fh.write(mine)
+            fh.write(text)
 
 
 # body text parsed per orjson call, cut at a line end: bounds the bytes and

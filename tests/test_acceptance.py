@@ -15,7 +15,7 @@ The line reports that 60 Hz shortfall and the measured order.  The
 exponential null cases are checked as before.
 
 Check 12 rewrites every bundled scenario and sweep twice and is the slow
-one (about 20 s, dominated by the two 120 s damped records).
+one (about 5 s, dominated by the two 120 s damped records).
 """
 
 import dataclasses

@@ -288,6 +288,18 @@ def test_verify_unmeetable_bound_exits_3(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_exits_2_when_dt_over_2_passes_the_sample_budget(tmp_path, capsys):
+    path = tmp_path / "fine.yaml"
+    path.write_text(TONE_YAML.replace("t_end: 2.0", "t_end: 6.0").replace("dt: 0.001", "dt: 1.0e-6"),
+                    encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error at grid.dt: verify runs 6000001 samples and then 12000001 at dt/2; at most 10000000\n"
+    )
+
+
 def test_scenarios_list_shows_kind_tags(capsys):
     assert main(["scenarios", "list"]) == 0
     out = capsys.readouterr().out

@@ -140,6 +140,11 @@ def test_classifier_thresholds_are_configurable():
         ("system.bogus", 1.0, "system.bogus: unknown key"),
         ("grid.dt", -0.001, "grid.dt: must be positive"),
         ("grid.extra", 1.0, "grid.extra: unknown key"),
+        # a falsy section is blamed on the section, as a truthy one is
+        ("grid", [], "at grid: expected a mapping, got list"),
+        ("grid", 0, "at grid: expected a mapping, got int"),
+        ("grid", "", "at grid: expected a mapping, got str"),
+        ("grid", False, "at grid: expected a mapping, got bool"),
         ("fault.t_apply", 0.10007, "not a multiple of grid dt"),
         ("fault.t_apply", 7.0, "outside the grid"),
         ("fault.t_clear", 0.5, "clear after"),

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -17,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncenergy import runner
-from syncenergy.config import CSV_COLUMNS, parse_scenario, parse_sweep
+from syncenergy.config import CSV_COLUMNS, ConfigError, parse_scenario, parse_sweep
 from syncenergy.metric import SyncStatus
 from syncenergy.runner import (
     execute_scenario,
@@ -339,9 +342,11 @@ def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
         where = rng.random(n_rows) < 0.1
         col[where] = rng.choice(_SPECIAL_FLOATS, size=int(where.sum()))
         columns[name] = col
+    threads = threading.active_count()
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "bits.csv", Path(tmp) / "reference.csv"
         write_series_csv(path, columns, names)
+        assert threading.active_count() == threads  # the worker thread has ended
         _repr_series_csv(reference, columns, names)
         assert path.read_bytes() == reference.read_bytes()
         assert n_rows < 4095 or path.stat().st_size > runner._BLOCK_BYTES
@@ -371,6 +376,15 @@ def test_series_csv_writer_raises_a_formatting_error_from_either_thread(tmp_path
         write_series_csv(tmp_path / "s.csv", columns, ("t", "p"))
     assert raised.value is error
     assert threading.active_count() == threads
+
+
+def test_importing_the_package_loads_no_executor():
+    """The writer imports its executor when called: concurrent.futures
+    loads logging and queue, a start-up cost of every run."""
+    code = "import sys, syncenergy; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))  # this copy of the package
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 # ------------------------------------------------------------- run_scenario
@@ -467,3 +481,16 @@ def test_verify_halves_the_step():
     report = verify_scenario(config)
     assert report.coarse.n_compared == config.grid.n - 4
     assert report.fine.n_compared == 2 * config.grid.n - 1 - 4
+
+
+def test_verify_refuses_a_grid_it_would_double_past_the_sample_budget(monkeypatch):
+    doc = dict(TONE_DOC, grid={"t_end": 5.0, "dt": 1.0e-6})
+    config = parse_scenario(doc)
+    assert config.grid.n == 5_000_001  # parses; at dt/2 it would take 10 000 001
+
+    def never(config):
+        raise AssertionError("verify ran a scenario it had to refuse")
+
+    monkeypatch.setattr(runner, "execute_scenario", never)
+    with pytest.raises(ConfigError, match=r"at grid\.dt: verify runs 5000001 samples and then 10000001 at dt/2"):
+        verify_scenario(config)
