@@ -140,11 +140,6 @@ def test_classifier_thresholds_are_configurable():
         ("system.bogus", 1.0, "system.bogus: unknown key"),
         ("grid.dt", -0.001, "grid.dt: must be positive"),
         ("grid.extra", 1.0, "grid.extra: unknown key"),
-        # a falsy section is blamed on the section, as a truthy one is
-        ("grid", [], "at grid: expected a mapping, got list"),
-        ("grid", 0, "at grid: expected a mapping, got int"),
-        ("grid", "", "at grid: expected a mapping, got str"),
-        ("grid", False, "at grid: expected a mapping, got bool"),
         ("fault.t_apply", 0.10007, "not a multiple of grid dt"),
         ("fault.t_apply", 7.0, "outside the grid"),
         ("fault.t_clear", 0.5, "clear after"),
@@ -171,6 +166,11 @@ def test_classifier_thresholds_are_configurable():
                      id="name-237-bytes"),
         pytest.param("name", "\u00e9" * 119, "name: .* takes 257 bytes", id="name-238-utf8-bytes"),
         pytest.param("name", "a\ud800", "name: must be UTF-8 text", id="name-lone-surrogate"),
+        # a falsy section is blamed on the section, as a truthy one is
+        ("grid", [], "at grid: expected a mapping, got list"),
+        ("grid", 0, "at grid: expected a mapping, got int"),
+        ("grid", "", "at grid: expected a mapping, got str"),
+        ("grid", False, "at grid: expected a mapping, got bool"),
     ],
 )
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
