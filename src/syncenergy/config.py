@@ -427,12 +427,19 @@ def apply_axis(base_doc: dict, axis: str, value: float) -> dict:
 
 
 def load_document(path) -> dict:
-    """Read one YAML document; multi-document files are rejected."""
+    """Read one YAML document; multi-document files are rejected.
+
+    A syntax error is reported on one line, at its 1-based line and column.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         docs = list(yaml.safe_load_all(text))
     except yaml.YAMLError as exc:
-        raise ConfigError("", f"not valid YAML: {exc}") from exc
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        if mark is None or problem is None:
+            raise ConfigError("", f"not valid YAML: {' '.join(str(exc).split())}") from exc
+        where = f"at line {mark.line + 1}, column {mark.column + 1}"
+        raise ConfigError("", f"not valid YAML {where}: {problem}") from exc
     if len(docs) != 1:
         raise ConfigError("", f"expected a single YAML document, found {len(docs)}")
     return docs[0]

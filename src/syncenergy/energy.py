@@ -80,7 +80,10 @@ def teo_real(x, grid: TimeGrid) -> np.ndarray:
     x = _as_series(x, grid.n, "x")
     xd = differentiate(x, grid)
     xdd = differentiate(xd, grid)
-    return xd * xd - x * xdd
+    xdd *= x
+    xd *= xd
+    xd -= xdd
+    return xd
 
 
 def conditional_variance(a, grid: TimeGrid) -> np.ndarray:
@@ -106,5 +109,9 @@ def conditional_variance(a, grid: TimeGrid) -> np.ndarray:
     safe = np.maximum(a, EPS_MAG)
     ad = differentiate(a, grid)
     add = differentiate(ad, grid)
-    ratio = ad / safe
-    return 0.5 * (ratio * ratio - add / safe)
+    ad /= safe
+    ad *= ad
+    add /= safe
+    ad -= add
+    ad *= 0.5
+    return ad

@@ -163,17 +163,18 @@ def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
     _require_same_grid(cf_v.grid, cf_i.grid, "se_from_cf")
     _require_same_grid(cf_v.grid, s.grid, "se_from_cf")
     grid = s.grid
-    var_v = conditional_variance(cf_v.magnitude, grid)
-    var_i = conditional_variance(cf_i.magnitude, grid)
+    var_term = conditional_variance(cf_v.magnitude, grid)
+    var_term += conditional_variance(cf_i.magnitude, grid)
     s_mag2 = s.d * s.d + s.q * s.q
-    dw = cf_v.omega - cf_i.omega
-    freq_term = dw * dw * 2.0 * s_mag2
-    var_term = (var_v + var_i) * 2.0 * s_mag2
-    valid = (
-        (cf_v.magnitude > EPS_MAG)
-        & (cf_i.magnitude > EPS_MAG)
-        & (s_mag2 > (EPS_MAG**2) ** 2)
-    )
+    freq_term = cf_v.omega - cf_i.omega
+    freq_term *= freq_term
+    freq_term *= 2.0
+    freq_term *= s_mag2
+    var_term *= 2.0
+    var_term *= s_mag2
+    valid = cf_v.magnitude > EPS_MAG
+    valid &= cf_i.magnitude > EPS_MAG
+    valid &= s_mag2 > (EPS_MAG**2) ** 2
     return SESeries(grid, freq_term + var_term, freq_term, var_term, s_mag2, valid)
 
 
@@ -183,7 +184,9 @@ def se_numeric(p, q, grid: TimeGrid) -> np.ndarray:
     No polar decomposition is involved; this is the reference the
     closed-form route is checked against.
     """
-    return teo_real(p, grid) + teo_real(q, grid)
+    psi = teo_real(p, grid)
+    psi += teo_real(q, grid)
+    return psi
 
 
 def normalized_se(se: SESeries) -> np.ndarray:
@@ -192,8 +195,9 @@ def normalized_se(se: SESeries) -> np.ndarray:
     The result is independent of the power level and has units of
     rad^2/s^2.  Samples flagged invalid in ``se`` come out as NaN.
     """
-    out = np.full(se.grid.n, np.nan)
-    np.divide(se.psi, 2.0 * se.s_mag2, out=out, where=se.valid)
+    out = np.multiply(se.s_mag2, 2.0)
+    np.divide(se.psi, out, out=out, where=se.valid)
+    out[~se.valid] = np.nan
     return out
 
 
@@ -223,7 +227,8 @@ def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
     t = times[mask]
     if t.size < 2 or t[-1] - t[0] < policy.tail_window:
         return SyncVerdict(SyncStatus.INDETERMINATE, None, float("nan"), float("nan"))
-    mag = np.abs(se.psi[mask])
+    mag = se.psi[mask]
+    np.abs(mag, out=mag)
 
     tail = mag[t >= t[-1] - policy.tail_window]
     tail_mean = float(np.mean(tail))

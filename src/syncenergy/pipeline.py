@@ -67,7 +67,7 @@ def analyze(
     Parameters
     ----------
     v, i : ParkSeries
-        Voltage and current on a common grid (frame-relative).
+        Voltage and current on a common grid (frame-relative); never written.
     estimator : {"fd", "pll"}
         Source of the instantaneous frequencies.
     pll_params : PllParams, optional
@@ -121,16 +121,18 @@ def identity_gap(
     IdentityReport
     """
     se = result.se
-    times = se.grid.times()
+    times = se.grid.times() if exclude else None
     mask = se.valid & se.interior_mask()
     for t_lo, t_hi in exclude:
         mask &= (times < t_lo) | (times > t_hi)
     n = int(np.count_nonzero(mask))
     if n == 0:
         return IdentityReport(math.nan, math.nan, math.nan, 0)
-    gap = np.abs(se.psi[mask] - result.psi_numeric[mask])
-    max_abs = float(np.max(gap))
-    scale = float(np.max(np.abs(result.psi_numeric[mask])))
+    numeric = result.psi_numeric[mask]
+    gap = se.psi[mask]
+    gap -= numeric
+    max_abs = float(np.max(np.abs(gap, out=gap)))
+    scale = float(np.max(np.abs(numeric, out=numeric)))
     if scale > 0.0:
         rel = max_abs / scale
     else:

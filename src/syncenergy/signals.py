@@ -48,7 +48,7 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         """Sample instants as an array of shape (n,)."""
-        return self.t0 + self.dt * np.arange(self.n)
+        return self.t0 + self.dt * np.arange(self.n, dtype=float)
 
     @property
     def t_end(self) -> float:
@@ -136,10 +136,14 @@ def unwrap_phase(phase) -> np.ndarray:
         return phase.copy()
     d = np.diff(phase)
     # shift each difference by the unique multiple of 2 pi landing in (-pi, pi]
-    k = np.floor((np.pi - d) / _TWO_PI)
+    k = (np.pi - d) / _TWO_PI
+    np.floor(k, out=k)
+    k *= _TWO_PI
+    d += k
     out = np.empty_like(phase)
     out[0] = phase[0]
-    out[1:] = phase[0] + np.cumsum(d + _TWO_PI * k)
+    np.cumsum(d, out=out[1:])
+    out[1:] += phase[0]
     return out
 
 
@@ -165,7 +169,8 @@ def differentiate(x, grid: TimeGrid) -> np.ndarray:
     x = _as_series(x, grid.n, "x")
     dt = grid.dt
     out = np.empty_like(x)
-    out[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
+    np.subtract(x[2:], x[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
     out[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * dt)
     out[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * dt)
     return out
@@ -211,8 +216,9 @@ def complex_frequency(x: ParkSeries) -> CFSeries:
         rho, omega, and the source magnitude.
     """
     mag, phase, _ = polar_decompose(x)
-    safe_mag = np.maximum(mag, EPS_MAG)
-    rho = differentiate(np.log(safe_mag), x.grid)
+    log_mag = np.maximum(mag, EPS_MAG)
+    np.log(log_mag, out=log_mag)
+    rho = differentiate(log_mag, x.grid)
     omega = differentiate(phase, x.grid)
     return CFSeries(x.grid, rho, omega, mag)
 
@@ -225,6 +231,8 @@ def complex_power(v: ParkSeries, i: ParkSeries) -> ParkSeries:
     q = v_q i_d - v_d i_q.  Both inputs must share the same grid.
     """
     _require_same_grid(v.grid, i.grid, "complex_power")
-    p = v.d * i.d + v.q * i.q
-    q = v.q * i.d - v.d * i.q
+    p = v.d * i.d
+    p += v.q * i.q
+    q = v.q * i.d
+    q -= v.d * i.q
     return ParkSeries(v.grid, p, q)

@@ -260,28 +260,32 @@ class SyntheticSpec:
 def synthetic_signal(spec: SyntheticSpec) -> tuple[ParkSeries, ParkSeries]:
     """Generate the (voltage, current) Park-vector pair of a template."""
     grid = spec.grid
-    t = grid.times()
-    v_env = np.full(grid.n, spec.v_mag)
-    i_env = np.full(grid.n, spec.i_mag)
-    v_ang = np.full(grid.n, spec.v_phase)
-    i_ang = np.full(grid.n, spec.i_phase)
+    # a constant envelope stays a scalar, and only a constant angle is filled in
+    v_env, i_env = spec.v_mag, spec.i_mag
+    if spec.template in ("constant_phasor", "amplitude_modulated"):
+        v_ang, i_ang = np.full(grid.n, spec.v_phase), np.full(grid.n, spec.i_phase)
+    if spec.template != "constant_phasor":
+        t = grid.times()
 
     if spec.template == "dual_frequency":
         v_ang = spec.v_phase + spec.omega1 * t
-        i_ang = spec.i_phase + spec.omega2 * t
+        i_ang = np.add(spec.i_phase, np.multiply(spec.omega2, t, out=t), out=t)
     elif spec.template == "amplitude_modulated":
-        v_env = spec.v_mag * (1.0 + spec.mod_depth * np.sin(spec.mod_freq * t))
+        np.sin(np.multiply(spec.mod_freq, t, out=t), out=t)
+        v_env = spec.v_mag * (1.0 + spec.mod_depth * t)
     elif spec.template == "frequency_drift":
         ramp = 0.5 * spec.drift_rate * t * t
         v_ang = spec.v_phase + ramp
-        i_ang = spec.i_phase + ramp
+        i_ang = np.add(spec.i_phase, ramp, out=ramp)
     elif spec.template == "variance_cancelling":
         shape = 0.5 * spec.envelope_rate * t * t
         v_env = spec.v_mag * np.exp(-shape)
-        i_env = spec.i_mag * np.exp(shape)
+        i_env = np.multiply(spec.i_mag, np.exp(shape, out=shape), out=shape)
         v_ang = spec.v_phase + spec.omega1 * t
-        i_ang = spec.i_phase + spec.omega1 * t
+        i_ang = np.add(spec.i_phase, np.multiply(spec.omega1, t, out=t), out=t)
 
-    v = ParkSeries(grid, v_env * np.cos(v_ang), v_env * np.sin(v_ang))
-    i = ParkSeries(grid, i_env * np.cos(i_ang), i_env * np.sin(i_ang))
-    return v, i
+    v_d, i_d = np.cos(v_ang), np.cos(i_ang)
+    v_q, i_q = np.sin(v_ang, out=v_ang), np.sin(i_ang, out=i_ang)
+    for x, env in ((v_d, v_env), (v_q, v_env), (i_d, i_env), (i_q, i_env)):
+        x *= env
+    return ParkSeries(grid, v_d, v_q), ParkSeries(grid, i_d, i_q)

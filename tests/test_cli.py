@@ -131,6 +131,30 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a: [\n", "config error: not valid YAML at line 2, column 1: "
+                   "expected the node content, but found '<stream end>'"),
+        ("a: [", "config error: not valid YAML at line 1, column 5: "
+                 "expected the node content, but found '<stream end>'"),
+        ("a:\n  b: 1\n c: 2\n", "config error: not valid YAML at line 3, column 2: "
+                                "expected <block end>, but found '<block mapping start>'"),
+        # PyYAML marks no line for a reader error; its text is kept, on one line
+        ("a: 1\x00\n", "config error: not valid YAML: unacceptable character #x0000: special "
+                       'characters are not allowed in "<unicode string>", position 4'),
+    ],
+    ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark"],
+)
+def test_yaml_syntax_error_exits_2_on_one_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+@pytest.mark.parametrize(
     "argv, path, reason",
     [
         (["run", "synth_constant", "--out-dir", "afile"], "afile", "File exists"),
