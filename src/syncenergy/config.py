@@ -5,7 +5,7 @@ A scenario is a single YAML document with the sections
     name:        identifier used for output files; a file name, so not
                  empty, . or .., without /, \\ or NUL, and short enough
                  for its longest output file name to fit NAME_MAX_BYTES
-    description: free text
+    description: free text, shown by ``scenarios list``
     system:      kind: smib | synthetic, plus model fields
     fault:       t_apply / t_clear (smib only, optional)
     grid:        t_end / dt (t0 is always 0)
@@ -159,7 +159,6 @@ class ScenarioConfig:
     """Fully validated scenario, ready to execute."""
 
     name: str
-    description: str
     kind: str
     grid: TimeGrid
     smib: SmibParams | None = None
@@ -282,7 +281,7 @@ def _check_file_name(stem: str, suffix: str, path: str) -> None:
         )
 
 
-def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
+def parse_scenario(doc) -> ScenarioConfig:
     """Validate a raw YAML document into a :class:`ScenarioConfig`.
 
     Raises
@@ -292,14 +291,14 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     """
     top = _mapping(doc, "")
     if not top:
-        raise ConfigError("", f"{source} is empty")
+        raise ConfigError("", "scenario is empty")
     name = _string(top, "name", "", required=True)
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(
             "name", f"must be a file name: not empty, . or .., and without /, \\ or NUL; got {name!r}"
         )
     _check_file_name(name, _LONGEST_SUFFIX, "name")
-    description = _string(top, "description", "", default="")
+    _string(top, "description", "")  # checked only: `scenarios list` reads the raw document
     system = _mapping(top.pop("system", None), "system")
     if not system:
         raise ConfigError("system", "required section missing")
@@ -342,7 +341,6 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     omega_o = smib.omega_n if smib is not None else PllParams().omega_o
     return ScenarioConfig(
         name=name,
-        description=description,
         kind=kind,
         grid=grid,
         smib=smib,
@@ -356,7 +354,7 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioConfig:
     )
 
 
-def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
+def parse_sweep(doc) -> SweepConfig:
     """Validate a sweep document: a base scenario plus one numeric axis."""
     top = _mapping(doc, "")
     sweep = _mapping(top.pop("sweep", None), "sweep")
@@ -395,7 +393,7 @@ def parse_sweep(doc, source: str = "sweep") -> SweepConfig:
     error = None
     for value in values:
         try:
-            parsed = parse_scenario(apply_axis(base, axis, value), source)
+            parsed = parse_scenario(apply_axis(base, axis, value))
             break
         except ConfigError as exc:
             error = error or exc

@@ -60,7 +60,7 @@ def analyze(
     v: ParkSeries,
     i: ParkSeries,
     estimator: str = "fd",
-    pll_params: PllParams | None = None,
+    pll_params: PllParams = PllParams(),
 ) -> AnalysisResult:
     """Run both SE routes on a voltage/current Park-vector pair.
 
@@ -71,7 +71,7 @@ def analyze(
     estimator : {"fd", "pll"}
         Source of the instantaneous frequencies.
     pll_params : PllParams, optional
-        Loop configuration when ``estimator="pll"``.
+        Nominal frame frequency of the loop when ``estimator="pll"``.
 
     Returns
     -------
@@ -86,9 +86,8 @@ def analyze(
         cf_v = complex_frequency(v)
         cf_i = complex_frequency(i)
         if estimator == "pll":
-            params = pll_params if pll_params is not None else PllParams()
-            cf_v.omega = pll_run(v, params)[1] - params.omega_o
-            cf_i.omega = pll_run(i, params)[1] - params.omega_o
+            cf_v.omega = pll_run(v, pll_params)[1] - pll_params.omega_o
+            cf_i.omega = pll_run(i, pll_params)[1] - pll_params.omega_o
         se = se_from_cf(cf_v, cf_i, s)
         psi_numeric = se_numeric(s.d, s.q, s.grid)
         normalized = normalized_se(se)

@@ -5,7 +5,7 @@ rotating at the loop's nominal frequency omega_o.  Its parts are the
 classical SRF-PLL triple:
 
     phase detector   e = Im(v e^{-j theta}) / max(|v|, EPS_MAG)
-    loop filter      dw = kp e + ki integral(e)
+    loop filter      dw = KP e + KI integral(e)
     oscillator       d theta / dt = dw          (frame-relative)
 
 so the absolute speed estimate is omega_hat = omega_o + dw.  Normalizing
@@ -13,10 +13,10 @@ the detector by the voltage magnitude makes the loop gain independent of
 the operating level; samples with magnitude below EPS_MAG hold the
 detector at its previous output instead of dividing by noise.
 
-The linearized closed loop is s^2 + kp s + ki.  The default gains
-kp = 10, ki = 20 place both poles on the negative real axis
-(about -2.76 and -7.24 1/s), giving a non-ringing response that settles
-well within two seconds.
+The linearized closed loop is s^2 + KP s + KI.  The constant gains
+KP = 10, KI = 20 place both poles on the negative real axis (about
+-2.76 and -7.24 1/s): a non-ringing response that settles well within
+two seconds, whatever the scenario; only omega_o follows the machine.
 
 Integration is the classical fixed-step RK4 tableau, written out on the
 state (theta, integral of e): stages at t_k, t_k + dt/2 (twice) and
@@ -33,18 +33,18 @@ import numpy as np
 
 from .signals import EPS_MAG, ParkSeries
 
+# proportional and integral loop gains
+KP = 10.0
+KI = 20.0
+
 
 @dataclass(frozen=True)
 class PllParams:
-    """Loop gains and nominal frame frequency."""
+    """Nominal frame frequency (rad/s) the loop tracks against."""
 
-    kp: float = 10.0
-    ki: float = 20.0
     omega_o: float = 2.0 * math.pi * 60.0
 
     def __post_init__(self) -> None:
-        if not self.kp > 0.0 or not self.ki > 0.0:
-            raise ValueError(f"loop gains must be positive, got kp={self.kp}, ki={self.ki}")
         if self.omega_o < 0.0:
             raise ValueError(f"omega_o must be non-negative, got {self.omega_o}")
 
@@ -64,7 +64,7 @@ def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> tuple[np.ndarray,
     d, q = v.d.tolist(), v.q.tolist()
     dt = grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
-    kp, ki, omega_o = params.kp, params.ki, params.omega_o
+    kp, ki, omega_o = KP, KI, params.omega_o
     cos, sin, hypot = math.cos, math.sin, math.hypot
 
     theta_hat, omega_hat = np.empty(grid.n), np.empty(grid.n)

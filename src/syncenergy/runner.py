@@ -388,63 +388,71 @@ def read_series_csv(path) -> dict:
 
 
 def _jsonable(value):
+    """``value`` with each non-finite float, at any depth, as None (JSON null)."""
     if isinstance(value, float) and not math.isfinite(value):
         return None
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(item) for item in value]
     return value
 
 
+def _write_json(path: Path, record: dict) -> dict:
+    """Write ``record`` as indented JSON, NaN and infinities as null; return what was written."""
+    record = _jsonable(record)
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    return record
+
+
 def summarize_run(run: ScenarioRun, series_file: str | None) -> dict:
+    """The run's record: what ran, its verdict, grid and route agreement, floats as computed."""
     verdict = run.verdict
     return {
         "name": run.config.name,
         "kind": run.config.kind,
         "estimator": run.config.estimator,
         "status": verdict.status.value,
-        "settle_time": _jsonable(verdict.settle_time),
-        "peak_psi": _jsonable(verdict.peak_psi),
-        "tail_mean_psi": _jsonable(verdict.tail_mean_psi),
+        "settle_time": verdict.settle_time,
+        "peak_psi": verdict.peak_psi,
+        "tail_mean_psi": verdict.tail_mean_psi,
         "diverged": run.diverged,
         "dt": run.grid.dt,
         "n_samples": run.grid.n,
         "t_end_effective": run.grid.t_end,
-        "identity_rel_gap": _jsonable(run.identity.rel_gap),
-        "identity_max_abs_gap": _jsonable(run.identity.max_abs_gap),
-        "identity_scale": _jsonable(run.identity.scale),
+        "identity_rel_gap": run.identity.rel_gap,
+        "identity_max_abs_gap": run.identity.max_abs_gap,
+        "identity_scale": run.identity.scale,
         "series_csv": series_file,
     }
 
 
-def run_scenario(config: ScenarioConfig, out_dir, emit_series: bool = True) -> dict:
-    """Execute a scenario and write its series CSV and summary JSON.
-
-    Returns the summary record.  A diverged simulation still succeeds:
-    the series covers the samples computed before truncation and the
-    summary carries ``diverged: true``.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_record(config: ScenarioConfig, out_dir: Path, emit_series: bool) -> dict:
+    """Execute a scenario, write its series CSV if asked, and return its record."""
     run = execute_scenario(config)
     series_file = None
     if emit_series:
         series_file = f"{config.name}.csv"
         write_series_csv(out_dir / series_file, run.columns, config.columns)
-    summary = summarize_run(run, series_file)
-    (out_dir / f"{config.name}.summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
-    return summary
+    return summarize_run(run, series_file)
 
 
-_SWEEP_FIELDS = (
-    "value",
-    "status",
-    "settle_time",
-    "peak_psi",
-    "tail_mean_psi",
-    "identity_rel_gap",
-    "diverged",
-    "error",
-)
+def run_scenario(config: ScenarioConfig, out_dir, emit_series: bool = True) -> dict:
+    """Execute a scenario and write its series CSV and summary JSON.
+
+    Returns the summary record as written.  A diverged simulation still
+    succeeds: the series covers the samples computed before truncation
+    and the summary carries ``diverged: true``.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    record = _run_record(config, out_dir, emit_series)
+    return _write_json(out_dir / f"{config.name}.summary.json", record)
+
+
+# the facts of a run's record that its sweep row repeats
+_ROW_FACTS = ("status", "settle_time", "peak_psi", "tail_mean_psi", "identity_rel_gap", "diverged")
+_SWEEP_FIELDS = ("value", *_ROW_FACTS, "error")
 
 
 def _sweep_cell(value, ran: bool) -> str:
@@ -463,7 +471,7 @@ def run_sweep(sweep: SweepConfig, out_dir, emit_series: bool = False) -> dict:
 
     A failing value (invalid parameters, no equilibrium) is recorded in
     its row and the sweep continues.  Rows keep the order of the
-    configured values.
+    configured values.  Returns the sweep summary record as written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -473,19 +481,9 @@ def run_sweep(sweep: SweepConfig, out_dir, emit_series: bool = False) -> dict:
         row.update(value=value, error="")
         try:
             config = parse_scenario(apply_axis(sweep.base_doc, sweep.axis, value))
-            config = dataclasses.replace(config, name=sweep.run_name(value))
-            run = execute_scenario(config)
-            if emit_series:
-                write_series_csv(out_dir / f"{config.name}.csv", run.columns, config.columns)
-            row.update(
-                status=run.verdict.status.value,
-                settle_time=run.verdict.settle_time,
-                peak_psi=run.verdict.peak_psi,
-                tail_mean_psi=run.verdict.tail_mean_psi,
-                identity_rel_gap=run.identity.rel_gap,
-                diverged=run.diverged,
-            )
-        except (ConfigError, ValueError) as exc:
+            record = _run_record(dataclasses.replace(config, name=sweep.run_name(value)), out_dir, emit_series)
+            row.update((name, record[name]) for name in _ROW_FACTS)
+        except ValueError as exc:  # a ConfigError included
             row["error"] = str(exc)
         rows.append(row)
 
@@ -501,10 +499,7 @@ def run_sweep(sweep: SweepConfig, out_dir, emit_series: bool = False) -> dict:
         "name": sweep.name,
         "axis": sweep.axis,
         "values": list(sweep.values),
-        "rows": [{name: _jsonable(value) for name, value in row.items()} for row in rows],
+        "rows": rows,
         "table_csv": table_file,
     }
-    (out_dir / f"{sweep.name}.sweep.summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
-    return summary
+    return _write_json(out_dir / f"{sweep.name}.sweep.summary.json", summary)

@@ -70,6 +70,8 @@ class SmibParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.E > 0.0 or not self.V_inf > 0.0:
             raise ValueError("source magnitudes E and V_inf must be positive")
+        if not self.E * self.V_inf > 0.0:
+            raise ValueError(f"the product E V_inf of E={self.E!r} and V_inf={self.V_inf!r} underflows to 0")
         if not self.omega_n > 0.0:
             raise ValueError("omega_n must be positive")
 
@@ -109,13 +111,13 @@ class SimResult:
     diverged: bool
 
 
-def equilibrium_angle(params: SmibParams, interval: str = "pre") -> float:
-    """Stable equilibrium angle asin(Pm x_total / (E V_inf)) of an interval."""
-    ratio = params.Pm * params.x_total(interval) / (params.E * params.V_inf)
+def equilibrium_angle(params: SmibParams) -> float:
+    """Stable pre-fault equilibrium angle asin(Pm x_total / (E V_inf)), where the runs start."""
+    ratio = params.Pm * params.x_total("pre") / (params.E * params.V_inf)
     if abs(ratio) > 1.0:
         raise ValueError(
             f"no equilibrium: Pm={params.Pm} exceeds the maximum transfer "
-            f"{params.E * params.V_inf / params.x_total(interval):.4f}"
+            f"{params.E * params.V_inf / params.x_total('pre'):.4f}"
         )
     return math.asin(ratio)
 
@@ -150,7 +152,7 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
         x_totals += [params.x_total("fault"), params.x_total("post")]
         starts += [_step_of(fault.t_apply, grid, "t_apply"), _step_of(fault.t_clear, grid, "t_clear")]
 
-    delta0 = equilibrium_angle(params, "pre")
+    delta0 = equilibrium_angle(params)
     e, v_inf, pm = params.E, params.V_inf, params.Pm
     d_damp, two_h, omega_n = params.D, 2.0 * params.H, params.omega_n
     dt, n_steps, sin = grid.dt, grid.n - 1, math.sin

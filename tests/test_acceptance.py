@@ -250,7 +250,7 @@ def test_10_pll_matches_finite_differences_when_settled(capsys):
     stationary vectors, compared after the lock transient."""
     grid = TimeGrid(0.0, 1e-3, 5001)
     t = grid.times()
-    params = PllParams(kp=10.0, ki=20.0)
+    params = PllParams()
     worst = 0.0
     for phi0, dw in ((0.3, 0.0), (0.0, 0.8)):
         x = ParkSeries.from_complex(grid, np.exp(1j * (phi0 + dw * t)))

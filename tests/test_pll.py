@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from syncenergy.pll import PllParams, pll_run
+from syncenergy.pll import KI, KP, PllParams, pll_run
 from syncenergy.signals import ParkSeries, TimeGrid
 
 GRID = TimeGrid(0.0, 1e-3, 5001)
@@ -12,11 +12,8 @@ OMEGA_O = PllParams().omega_o
 
 
 def test_params_defaults_and_validation():
-    p = PllParams()
-    assert p.kp == 10.0 and p.ki == 20.0
-    assert p.omega_o == pytest.approx(2.0 * np.pi * 60.0)
-    with pytest.raises(ValueError, match="gains"):
-        PllParams(kp=0.0)
+    assert KP == 10.0 and KI == 20.0
+    assert PllParams().omega_o == pytest.approx(2.0 * np.pi * 60.0)
     with pytest.raises(ValueError, match="omega_o"):
         PllParams(omega_o=-1.0)
 

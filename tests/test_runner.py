@@ -1,5 +1,6 @@
 """Scenario execution, CSV/JSON emission, sweeps, and route verification."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -10,6 +11,7 @@ import tempfile
 import threading
 import time
 import warnings
+from importlib import resources
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncenergy import runner
-from syncenergy.config import CSV_COLUMNS, ConfigError, parse_scenario, parse_sweep
+from syncenergy.config import CSV_COLUMNS, ConfigError, apply_axis, load_document, parse_scenario, parse_sweep
 from syncenergy.metric import SyncStatus
 from syncenergy.runner import (
     execute_scenario,
@@ -446,6 +448,37 @@ def test_run_sweep_records_a_failing_simulation_at_system(tmp_path):
     assert rows[0]["status"] is None
     assert rows[0]["error"].startswith("at system: no equilibrium: Pm=5.0 exceeds the maximum transfer")
     assert rows[1]["status"] == "BoundedNotSynchronized"
+
+
+def _table_text(value) -> str:
+    """How the sweep table spells a summary field of a run that ran."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
+
+# horizons cut short, but long enough for a settle time (D = 5) and a divergence (x4)
+@pytest.mark.parametrize("name, t_end", [("sweep_damping", 60.0), ("sweep_distance", 5.0), ("sweep_inertia", 5.0)])
+def test_sweep_rows_agree_with_the_run_summary_of_their_value(tmp_path, bundled_dir, name, t_end):
+    """A sweep row carries the facts of the run summary at its value, and its table spells them."""
+    with resources.as_file(bundled_dir.joinpath(f"{name}.yaml")) as path:
+        doc = load_document(path)
+    doc["base"]["grid"]["t_end"] = t_end
+    sweep = parse_sweep(doc)
+    summary = run_sweep(sweep, tmp_path / "sweep")
+    with open(tmp_path / "sweep" / summary["table_csv"], encoding="utf-8", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    facts = ("status", "settle_time", "peak_psi", "tail_mean_psi", "identity_rel_gap", "diverged")
+    assert len(summary["rows"]) == len(table) == len(sweep.values)
+    for value, row, cells in zip(sweep.values, summary["rows"], table):
+        config = parse_scenario(apply_axis(sweep.base_doc, sweep.axis, value))
+        config = dataclasses.replace(config, name=sweep.run_name(value))
+        run = run_scenario(config, tmp_path / "runs", emit_series=False)
+        assert row["error"] == ""
+        assert {key: row[key] for key in facts} == {key: run[key] for key in facts}
+        assert {key: cells[key] for key in facts} == {key: _table_text(run[key]) for key in facts}
 
 
 def test_run_sweep_can_emit_member_series(tmp_path):

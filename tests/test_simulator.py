@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncenergy.pll import PllParams, pll_run
+from syncenergy.pll import KI, KP, PllParams, pll_run
 from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid
 from syncenergy.simulator import (
     DELTA_CAP,
@@ -71,7 +71,7 @@ def reference_swing(params, fault, grid, delta_cap=DELTA_CAP):
     the interval its start lies in."""
     pm, d_damp, two_h, omega_n = params.Pm, params.D, 2.0 * params.H, params.omega_n
     eps_t = 0.5 * grid.dt
-    y = (equilibrium_angle(params, "pre"), 1.0)
+    y = (equilibrium_angle(params), 1.0)
     delta, omega = [y[0]], [y[1]]
     for k in range(grid.n - 1):
         t_k = grid.t0 + k * grid.dt
@@ -113,18 +113,18 @@ def reference_pll(v, params=PllParams()):
     for k in range(v.grid.n - 1):
         e_now = detector(d[k], q[k], y[0])
         theta_hat[k] = y[0]
-        omega_hat[k] = params.omega_o + params.kp * e_now + params.ki * y[1]
+        omega_hat[k] = params.omega_o + KP * e_now + KI * y[1]
         t_k = v.grid.t0 + k * dt
 
         def deriv(t, state):
             s = (t - t_k) / dt
             e = detector(d[k] + s * (d[k + 1] - d[k]), q[k] + s * (q[k + 1] - q[k]), state[0])
-            return (params.kp * e + params.ki * state[1], e)
+            return (KP * e + KI * state[1], e)
 
         y = rk4_step(deriv, t_k, y, dt)
     e_last = detector(d[-1], q[-1], y[0])
     theta_hat[-1] = y[0]
-    omega_hat[-1] = params.omega_o + params.kp * e_last + params.ki * y[1]
+    omega_hat[-1] = params.omega_o + KP * e_last + KI * y[1]
     return theta_hat, omega_hat
 
 
@@ -217,14 +217,14 @@ def test_fault_schedule_ordering():
 
 
 def test_equilibrium_angle_frozen():
-    assert equilibrium_angle(PARAMS, "pre") == pytest.approx(math.asin(9.0 / 22.0), rel=1e-12)
+    assert equilibrium_angle(PARAMS) == pytest.approx(math.asin(9.0 / 22.0), rel=1e-12)
 
 
 def test_equilibrium_angle_raises_beyond_transfer_limit():
     weak = SmibParams(H=5.0, D=0.0, x_gen=0.3, x_line_prefault=2.0,
                       x_line_fault=1.0, x_line_postfault=0.2)
     with pytest.raises(ValueError, match="no equilibrium"):
-        equilibrium_angle(weak, "pre")
+        equilibrium_angle(weak)
 
 
 # ------------------------------------------------------------- eigenvalues
@@ -267,14 +267,14 @@ def smib_eigenvalues(params: SmibParams, delta_eq: float) -> SmibEigenvalues:
 
 
 def test_eigenvalues_frozen_oscillatory_pair():
-    eig = smib_eigenvalues(PARAMS, equilibrium_angle(PARAMS, "pre"))
+    eig = smib_eigenvalues(PARAMS, equilibrium_angle(PARAMS))
     assert eig.first == pytest.approx(8.699450491840658j, abs=1e-9)
     assert eig.second == pytest.approx(-8.699450491840658j, abs=1e-9)
     assert not eig.saddle
 
     damped = SmibParams(H=5.0, D=5.0, x_gen=0.3, x_line_prefault=0.2,
                         x_line_fault=1.0, x_line_postfault=0.2)
-    eig = smib_eigenvalues(damped, equilibrium_angle(damped, "pre"))
+    eig = smib_eigenvalues(damped, equilibrium_angle(damped))
     assert eig.first == pytest.approx(-0.25 + 8.695857568979994j, abs=1e-9)
 
 
@@ -312,7 +312,7 @@ def test_simulated_ringing_matches_small_signal_frequency(damping):
                         x_line_fault=0.25, x_line_postfault=0.2)
     grid = TimeGrid(0.0, 1e-3, 20001)
     sim = smib_simulate(params, FaultSchedule(0.5, 0.6), grid)
-    delta_eq = equilibrium_angle(params, "pre")
+    delta_eq = equilibrium_angle(params)
     t = grid.times()
     x = (sim.delta - delta_eq)[t > 0.7]
     t = t[t > 0.7]
@@ -329,7 +329,7 @@ def test_simulate_holds_equilibrium_without_fault():
     grid = TimeGrid(0.0, 1e-3, 2001)
     sim = smib_simulate(PARAMS, None, grid)
     assert not sim.diverged
-    d0 = equilibrium_angle(PARAMS, "pre")
+    d0 = equilibrium_angle(PARAMS)
     np.testing.assert_allclose(sim.delta, d0, rtol=0, atol=1e-9)
     np.testing.assert_allclose(sim.omega_pu, 1.0, rtol=0, atol=1e-9)
 
