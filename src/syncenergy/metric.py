@@ -239,7 +239,7 @@ def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
     early = float(np.max(mag[t <= t[0] + policy.tail_window]))
     tail_peak = float(np.max(tail))
     still_growing = t[int(np.argmax(mag))] > t[-1] - policy.tail_window
-    if mag.max() >= policy.divergence_cap * early or (
+    if peak >= policy.divergence_cap * early or (
         tail_peak >= policy.growth_factor * early and still_growing
     ):
         return SyncVerdict(SyncStatus.LOSS_OF_SYNCHRONISM, None, peak, tail_mean)

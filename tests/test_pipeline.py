@@ -1,5 +1,7 @@
 """Joint analysis of a voltage/current pair and route agreement."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,16 @@ def test_analyze_rejects_mismatched_grids():
     i = ParkSeries(other, np.ones(other.n), np.zeros(other.n))
     with pytest.raises(ValueError, match="same grid"):
         analyze(v, i)
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    """The README's library example runs as written, with module imports,
+    and prints the values its comments state."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    psi, status, verdict = capsys.readouterr().out.splitlines()
+    assert float(psi) == pytest.approx(8.0, rel=1e-12)
+    assert status == "BoundedNotSynchronized"
+    assert verdict == "Synchronized 55.455"

@@ -209,6 +209,33 @@ def test_series_csv_bad_cell_past_the_first_block_names_its_line(tmp_path):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("change", ["grow", "shrink"])
+def test_series_csv_refuses_a_file_that_changes_while_it_is_read(tmp_path, monkeypatch, change):
+    """The line count of the first pass sized the columns; a file that then
+    gains or loses whole rows is refused, not read short or past its end."""
+    path = tmp_path / "moving.csv"
+    rng = np.random.default_rng(7)
+    write_series_csv(path, {"t": np.arange(20_000) * 1e-3, "p": rng.standard_normal(20_000)}, ("t", "p"))
+    data = path.read_bytes()
+    assert len(data) > 3 * runner._BLOCK_BYTES
+    block_cells = runner._block_cells
+    calls = []
+
+    def changing(*args):
+        if not calls:
+            if change == "grow":
+                with open(path, "ab") as fh:
+                    fh.write(b"0.0,0.0\n" * 10)
+            else:  # at a line end past the first block (and the read buffer), so no half row is left
+                os.truncate(path, data.index(b"\n", 2 * runner._BLOCK_BYTES) + 1)
+        calls.append(args)
+        return block_cells(*args)
+
+    monkeypatch.setattr(runner, "_block_cells", changing)
+    with pytest.raises(ValueError, match="changed while it was read"):
+        read_series_csv(path)
+
+
 @pytest.mark.parametrize("text, fault", [
     ("", "empty file"),
     ("t,p", "line 1: the header has no newline"),
@@ -380,10 +407,16 @@ def test_series_csv_writer_raises_a_formatting_error_from_either_thread(tmp_path
     assert threading.active_count() == threads
 
 
-def test_importing_the_package_loads_no_executor():
+@pytest.mark.parametrize("module, unwanted", [
+    ("syncenergy.cli", ("concurrent.futures", "logging")),
+    ("syncenergy.config", ("syncenergy.runner", "syncenergy.cli", "orjson")),
+], ids=["cli", "config"])
+def test_importing_the_package_loads_no_executor(module, unwanted):
     """The writer imports its executor when called: concurrent.futures
-    loads logging and queue, a start-up cost of every run."""
-    code = "import sys, syncenergy; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    loads logging and queue, a start-up cost of every run.  Importing one
+    module loads only what that module needs: config, which parses the
+    documents, needs neither the runner nor its CSV codec."""
+    code = f"import sys, {module}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))  # this copy of the package
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
