@@ -13,11 +13,17 @@ The instantaneous frequencies can come either from finite differences
 (``estimator="fd"``) or from a phase-locked loop tracking each vector
 (``estimator="pll"``).  The PLL route carries loop transients near the
 start of the record; envelope terms use finite differences in both modes.
+Its two loops are per-sample Python code that holds the GIL, so where
+``os.fork`` exists and the grid is long enough, the voltage's loop runs in
+a forked child while the calling process runs the current's; the results
+are the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,13 @@ from .pll import PllParams, pll_run
 from .signals import CFSeries, ParkSeries, _as_series, complex_frequency, complex_power
 
 ESTIMATORS = ("fd", "pll")
+
+# grids shorter than this run the two PLL loops in turn: the fork and the
+# child's exit cost more than the loop they hide.  Alternating in one
+# process (2 cores, Python 3.11, numpy 2.4), the forked analyze(pll) was
+# the faster in 15 of 80 pairs at 1 000 samples, 41 at 1 500, 56 at 3 000
+# and 76 at 5 000
+_FORK_MIN_SAMPLES = 1500
 
 
 @dataclass
@@ -76,6 +89,15 @@ def analyze(
     Returns
     -------
     AnalysisResult
+
+    Notes
+    -----
+    With ``estimator="pll"`` on a grid of at least ``_FORK_MIN_SAMPLES``
+    samples, v's loop runs in a child made by ``os.fork``, which pickles its
+    speeds into a pipe.  An exception raised there is raised here with its
+    type and message; a child that dies without a result raises
+    ``RuntimeError`` naming its exit status.  No child process or file
+    descriptor outlives the call.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -86,8 +108,7 @@ def analyze(
         cf_v = complex_frequency(v)
         cf_i = complex_frequency(i)
         if estimator == "pll":
-            cf_v.omega = pll_run(v, pll_params)[1] - pll_params.omega_o
-            cf_i.omega = pll_run(i, pll_params)[1] - pll_params.omega_o
+            cf_v.omega, cf_i.omega = _pll_omegas(v, i, pll_params)
         se = se_from_cf(cf_v, cf_i, s)
         psi_numeric = se_numeric(s.d, s.q, s.grid)
         normalized = normalized_se(se)
@@ -101,6 +122,48 @@ def analyze(
     ):
         _as_series(x, s.grid.n, name)
     return AnalysisResult(s, cf_v, cf_i, se, psi_numeric, normalized)
+
+
+def _pll_omegas(v: ParkSeries, i: ParkSeries, params: PllParams) -> tuple[np.ndarray, np.ndarray]:
+    """Both PLL speed deviations from ``omega_o``: v's in a forked child
+    while this process tracks i, so the two GIL-bound loops share two cores."""
+    omega_o = params.omega_o
+    if not hasattr(os, "fork") or v.grid.n < _FORK_MIN_SAMPLES:
+        return pll_run(v, params)[1] - omega_o, pll_run(i, params)[1] - omega_o
+    rfd, wfd = os.pipe()
+    with open(rfd, "rb") as src, open(wfd, "wb") as out:
+        pid = os.fork()
+        if pid == 0:  # the child sends its speeds or its exception, and never returns
+            code = 1
+            try:
+                src.close()
+                try:
+                    payload = pll_run(v, params)[1] - omega_o
+                except Exception as exc:
+                    payload = exc
+                pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
+                out.close()
+                code = 0
+            finally:
+                os._exit(code)
+        out.close()
+        try:
+            omega_i = pll_run(i, params)[1] - omega_o
+            try:
+                payload = pickle.load(src)
+            except (EOFError, pickle.UnpicklingError):  # no whole result came
+                payload = None
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            raise
+    if payload is None:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the PLL child process ended without a result (exit status {code})")
+    if isinstance(payload, Exception):
+        raise payload
+    return payload, omega_i
 
 
 def identity_gap(

@@ -45,8 +45,8 @@ class PllParams:
     omega_o: float = 2.0 * math.pi * 60.0
 
     def __post_init__(self) -> None:
-        if self.omega_o < 0.0:
-            raise ValueError(f"omega_o must be non-negative, got {self.omega_o}")
+        if not 0.0 <= self.omega_o < math.inf:
+            raise ValueError(f"omega_o must be finite and non-negative, got {self.omega_o}")
 
 
 def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,20 @@
 """Joint analysis of a voltage/current pair and route agreement."""
 
+import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syncenergy import pipeline
 from syncenergy.pipeline import ESTIMATORS, analyze, identity_gap
-from syncenergy.signals import ParkSeries, TimeGrid
+from syncenergy.pll import PllParams, pll_run
+from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
 
 GRID = TimeGrid(0.0, 1e-3, 4001)
@@ -89,3 +97,154 @@ def test_readme_library_example_prints_what_it_says(capsys):
     assert float(psi) == pytest.approx(8.0, rel=1e-12)
     assert status == "BoundedNotSynchronized"
     assert verdict == "Synchronized 55.455"
+
+
+# ------------------------------------------------------- forked PLL loops
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="needs os.fork and /proc/self/fd",
+)
+
+
+def _process_state():
+    return len(os.listdir("/proc/self/fd")), threading.active_count()
+
+
+def _assert_nothing_left(before):
+    """No child process, file descriptor or thread outlives the call."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _process_state() == before
+
+
+@pytest.fixture
+def nothing_left():
+    before = _process_state()
+    yield
+    _assert_nothing_left(before)
+
+
+def _analyze_pll(v, i):
+    """analyze(pll) and the number of forks it made."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", fork)
+        return analyze(v, i, estimator="pll"), len(forks)
+
+
+def _in_turn(v, i):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        return analyze(v, i, estimator="pll")
+
+
+def _bytes(result):
+    return [x.tobytes() for x in (result.cf_v.rho, result.cf_v.omega, result.cf_i.rho,
+                                  result.cf_i.omega, result.se.psi, result.psi_numeric,
+                                  result.normalized)]
+
+
+@st.composite
+def _dropout_pairs(draw):
+    """A (v, i) pair on a grid either side of the fork's break-even, some
+    samples of each vector dropped below EPS_MAG."""
+    cut = pipeline._FORK_MIN_SAMPLES
+    n = draw(st.one_of(st.integers(5, cut - 1), st.integers(cut, 2 * cut)))
+    grid = TimeGrid(0.0, draw(st.sampled_from((1e-3, 2e-4))), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for share in (draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 0.3))):
+        z = rng.uniform(0.5, 2.0) * np.exp(1j * np.cumsum(rng.normal(0.0, 0.05, n)))
+        drop = rng.random(n) < share
+        z[drop] *= rng.uniform(0.0, EPS_MAG / 2.0, np.count_nonzero(drop))
+        pair.append(ParkSeries.from_complex(grid, z))
+    return pair
+
+
+@needs_fork
+@settings(deadline=None, max_examples=30)
+@given(pair=_dropout_pairs())
+def test_forked_pll_gives_the_bytes_of_the_loops_run_in_turn(pair):
+    """The forked path, and with os.fork deleted (as on Windows) the loops
+    run in turn, give the bytes of direct pll_run calls."""
+    v, i = pair
+    before = _process_state()
+    result, forks = _analyze_pll(v, i)
+    _assert_nothing_left(before)
+    assert forks == (v.grid.n >= pipeline._FORK_MIN_SAMPLES)
+    params = PllParams()
+    assert result.cf_v.omega.tobytes() == (pll_run(v, params)[1] - params.omega_o).tobytes()
+    assert result.cf_i.omega.tobytes() == (pll_run(i, params)[1] - params.omega_o).tobytes()
+    assert _bytes(result) == _bytes(_in_turn(v, i))
+
+
+class _LoopError(Exception):
+    pass
+
+
+def _pll_run_in_child(action):
+    """pll_run that first runs ``action`` when called in a child process."""
+    parent = os.getpid()
+
+    def run(x, params):
+        if os.getpid() != parent:
+            action()
+        return pll_run(x, params)
+
+    return run
+
+
+def _raise(exc):
+    def action():
+        raise exc
+    return action
+
+
+@needs_fork
+@pytest.mark.parametrize("exc", [FloatingPointError("loop diverged"), _LoopError("no lock")],
+                         ids=["builtin", "own-class"])
+def test_an_exception_in_the_child_reaches_the_caller(monkeypatch, nothing_left, exc):
+    v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
+    monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(_raise(exc)))
+    with pytest.raises(type(exc)) as caught:
+        analyze(v, i, estimator="pll")
+    assert type(caught.value) is type(exc)
+    assert str(caught.value) == str(exc)
+
+
+@needs_fork
+@pytest.mark.parametrize("action, status", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    (_raise(KeyboardInterrupt()), 1),
+], ids=["exit-3", "sigkill", "keyboard-interrupt"])
+def test_a_child_that_dies_gives_one_runtime_error_with_its_status(
+        monkeypatch, nothing_left, action, status):
+    v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
+    monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(action))
+    with pytest.raises(RuntimeError, match=rf"without a result \(exit status {status}\)$"):
+        analyze(v, i, estimator="pll")
+
+
+@needs_fork
+def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch, nothing_left):
+    """The child would sleep a minute; the parent's error ends it at once."""
+    v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
+    parent = os.getpid()
+
+    def run(x, params):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        raise _LoopError("parent loop failed")
+
+    monkeypatch.setattr(pipeline, "pll_run", run)
+    start = time.perf_counter()
+    with pytest.raises(_LoopError, match="parent loop failed"):
+        analyze(v, i, estimator="pll")
+    assert time.perf_counter() - start < 30.0

@@ -14,8 +14,9 @@ OMEGA_O = PllParams().omega_o
 def test_params_defaults_and_validation():
     assert KP == 10.0 and KI == 20.0
     assert PllParams().omega_o == pytest.approx(2.0 * np.pi * 60.0)
-    with pytest.raises(ValueError, match="omega_o"):
-        PllParams(omega_o=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="omega_o"):
+            PllParams(omega_o=bad)
 
 
 def test_locks_onto_constant_phasor():

@@ -408,13 +408,15 @@ def test_series_csv_writer_raises_a_formatting_error_from_either_thread(tmp_path
 
 
 @pytest.mark.parametrize("module, unwanted", [
-    ("syncenergy.cli", ("concurrent.futures", "logging")),
-    ("syncenergy.config", ("syncenergy.runner", "syncenergy.cli", "orjson")),
+    ("syncenergy.cli", ("concurrent.futures", "logging", "multiprocessing")),
+    ("syncenergy.config", ("syncenergy.runner", "syncenergy.cli", "orjson",
+                           "concurrent.futures", "multiprocessing")),
 ], ids=["cli", "config"])
 def test_importing_the_package_loads_no_executor(module, unwanted):
     """The writer imports its executor when called: concurrent.futures
-    loads logging and queue, a start-up cost of every run.  Importing one
-    module loads only what that module needs: config, which parses the
+    loads logging and queue, a start-up cost of every run.  The PLL
+    estimator forks with os and pickle alone, no process pool.  Importing
+    one module loads only what that module needs: config, which parses the
     documents, needs neither the runner nor its CSV codec."""
     code = f"import sys, {module}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))  # this copy of the package
