@@ -84,6 +84,10 @@ class ConfigError(ValueError):
         self.message = message
         super().__init__(f"at {path}: {message}" if path else message)
 
+    def __reduce__(self):
+        # args holds only the formatted text: rebuild from the two fields
+        return type(self), (self.path, self.message)
+
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
@@ -213,6 +217,8 @@ def _parse_smib(node: dict, path: str) -> SmibParams:
     f_nominal = _number(node, "f_nominal", path)
     if f_nominal is not None:
         values["omega_n"] = 2.0 * math.pi * f_nominal
+        if values["omega_n"] == math.inf:
+            raise ConfigError(_join(path, "f_nominal"), f"2 pi f_nominal is past the float range at {f_nominal!r}")
     _reject_unknown(node, path)
     return _build(SmibParams, path, values)
 

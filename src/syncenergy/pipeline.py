@@ -16,7 +16,8 @@ start of the record; envelope terms use finite differences in both modes.
 Its two loops are per-sample Python code that holds the GIL, so where
 ``os.fork`` exists and the grid is long enough, the voltage's loop runs in
 a forked child while the calling process runs the current's; the results
-are the same bits either way.
+are the same bits either way.  :class:`ForkedCall` is the one helper that
+forks, here and for the runner's SMIB simulations.
 """
 
 from __future__ import annotations
@@ -127,43 +128,89 @@ def analyze(
 def _pll_omegas(v: ParkSeries, i: ParkSeries, params: PllParams) -> tuple[np.ndarray, np.ndarray]:
     """Both PLL speed deviations from ``omega_o``: v's in a forked child
     while this process tracks i, so the two GIL-bound loops share two cores."""
-    omega_o = params.omega_o
-    if not hasattr(os, "fork") or v.grid.n < _FORK_MIN_SAMPLES:
-        return pll_run(v, params)[1] - omega_o, pll_run(i, params)[1] - omega_o
-    rfd, wfd = os.pipe()
-    with open(rfd, "rb") as src, open(wfd, "wb") as out:
-        pid = os.fork()
-        if pid == 0:  # the child sends its speeds or its exception, and never returns
-            code = 1
-            try:
-                src.close()
-                try:
-                    payload = pll_run(v, params)[1] - omega_o
-                except Exception as exc:
-                    payload = exc
-                pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
-                out.close()
-                code = 0
-            finally:
-                os._exit(code)
-        out.close()
+    with ForkedCall(_pll_omega, v, params, fork=v.grid.n >= _FORK_MIN_SAMPLES) as omega_v:
+        omega_i = _pll_omega(i, params)
+        return omega_v.result(), omega_i
+
+
+def _pll_omega(x: ParkSeries, params: PllParams) -> np.ndarray:
+    return pll_run(x, params)[1] - params.omega_o
+
+
+def _outcome(fn, args):
+    """What ``fn(*args)`` returns or raises; an exception that does not survive
+    pickling (the classes are the caller's) becomes a ``RuntimeError`` naming it."""
+    try:
+        return fn(*args)
+    except Exception as exc:
         try:
-            omega_i = pll_run(i, params)[1] - omega_o
+            return pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        except Exception:
+            return RuntimeError(f"the child process raised {type(exc).__name__}: {exc}, which cannot cross the pipe")
+
+
+class ForkedCall:
+    """``fn(*args)`` run in a child made by ``os.fork``, which pickles what
+    it returns or raises into a pipe.  With ``fork`` false, or without
+    ``os.fork``, :meth:`result` calls it here.  Leaving a ``with`` block
+    cancels a child whose result was not taken."""
+
+    def __init__(self, fn, *args, fork: bool = True) -> None:
+        self._call, self._pid, self._src = (fn, args), 0, None
+        if not (fork and hasattr(os, "fork")):
+            return
+        rfd, wfd = os.pipe()
+        self._src = open(rfd, "rb")
+        with open(wfd, "wb") as out:
             try:
-                payload = pickle.load(src)
+                self._pid = os.fork()
+            except BaseException:
+                self._src.close()
+                raise
+            if self._pid == 0:  # the child sends its outcome, and never returns
+                try:
+                    self._src.close()
+                    pickle.dump(_outcome(fn, args), out, pickle.HIGHEST_PROTOCOL)
+                    out.close()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+
+    def __enter__(self) -> "ForkedCall":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.cancel()
+
+    def result(self):
+        """What ``fn`` returned, or raise what it raised; ``RuntimeError``
+        naming the exit status if the child ends without a result.  The
+        child is reaped either way."""
+        if self._src is None:
+            fn, args = self._call
+            return fn(*args)
+        with self:  # an interrupted wait kills the child
+            try:
+                outcome = pickle.load(self._src)
             except (EOFError, pickle.UnpicklingError):  # no whole result came
-                payload = None
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            raise
-    if payload is None:
-        code = os.waitstatus_to_exitcode(status)
-        raise RuntimeError(f"the PLL child process ended without a result (exit status {code})")
-    if isinstance(payload, Exception):
-        raise payload
-    return payload, omega_i
+                code = os.waitstatus_to_exitcode(self._reap())
+                raise RuntimeError(f"the child process ended without a result (exit status {code})") from None
+            self._reap()
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def cancel(self) -> None:
+        """Kill and reap the child, unless it was reaped already."""
+        if self._pid:
+            os.kill(self._pid, 9)  # SIGKILL
+            self._reap()
+
+    def _reap(self) -> int:
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = 0
+        self._src.close()
+        return status
 
 
 def identity_gap(

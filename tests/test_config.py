@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 from importlib import resources
 
 import pytest
@@ -171,11 +172,21 @@ def test_classifier_thresholds_are_configurable():
         ("grid", 0, "at grid: expected a mapping, got int"),
         ("grid", "", "at grid: expected a mapping, got str"),
         ("grid", False, "at grid: expected a mapping, got bool"),
+        # 2 pi f_nominal overflows: refused at the field, not by the PLL's omega_o check
+        ("system.f_nominal", 1.0e308, r"system.f_nominal: 2 pi f_nominal is past the float range at 1e\+308"),
     ],
 )
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_scenario(_with(SMIB_DOC, path, value))
+
+
+@pytest.mark.parametrize("path", ["grid.dt", ""])
+def test_config_error_survives_pickling(path):
+    """A ConfigError sent from a forked child keeps its text and both fields."""
+    exc = pickle.loads(pickle.dumps(ConfigError(path, "bad"), pickle.HIGHEST_PROTOCOL))
+    assert type(exc) is ConfigError
+    assert (str(exc), exc.path, exc.message) == (str(ConfigError(path, "bad")), path, "bad")
 
 
 def test_longest_name_parses():

@@ -2,7 +2,6 @@
 
 import os
 import signal
-import threading
 import time
 from pathlib import Path
 
@@ -12,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncenergy import pipeline
-from syncenergy.pipeline import ESTIMATORS, analyze, identity_gap
+from syncenergy.config import ConfigError
+from syncenergy.pipeline import ESTIMATORS, ForkedCall, analyze, identity_gap
 from syncenergy.pll import PllParams, pll_run
 from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
@@ -101,49 +101,6 @@ def test_readme_library_example_prints_what_it_says(capsys):
 
 # ------------------------------------------------------- forked PLL loops
 
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
-    reason="needs os.fork and /proc/self/fd",
-)
-
-
-def _process_state():
-    return len(os.listdir("/proc/self/fd")), threading.active_count()
-
-
-def _assert_nothing_left(before):
-    """No child process, file descriptor or thread outlives the call."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _process_state() == before
-
-
-@pytest.fixture
-def nothing_left():
-    before = _process_state()
-    yield
-    _assert_nothing_left(before)
-
-
-def _analyze_pll(v, i):
-    """analyze(pll) and the number of forks it made."""
-    real_fork, forks = os.fork, []
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", fork)
-        return analyze(v, i, estimator="pll"), len(forks)
-
-
-def _in_turn(v, i):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delattr(os, "fork")
-        return analyze(v, i, estimator="pll")
-
-
 def _bytes(result):
     return [x.tobytes() for x in (result.cf_v.rho, result.cf_v.omega, result.cf_i.rho,
                                   result.cf_i.omega, result.se.psi, result.psi_numeric,
@@ -167,21 +124,19 @@ def _dropout_pairs(draw):
     return pair
 
 
-@needs_fork
 @settings(deadline=None, max_examples=30)
 @given(pair=_dropout_pairs())
-def test_forked_pll_gives_the_bytes_of_the_loops_run_in_turn(pair):
+def test_forked_pll_gives_the_bytes_of_the_loops_run_in_turn(leaves_nothing, counting_forks, without_fork, pair):
     """The forked path, and with os.fork deleted (as on Windows) the loops
     run in turn, give the bytes of direct pll_run calls."""
     v, i = pair
-    before = _process_state()
-    result, forks = _analyze_pll(v, i)
-    _assert_nothing_left(before)
+    with leaves_nothing():
+        result, forks = counting_forks(analyze, v, i, estimator="pll")
     assert forks == (v.grid.n >= pipeline._FORK_MIN_SAMPLES)
     params = PllParams()
     assert result.cf_v.omega.tobytes() == (pll_run(v, params)[1] - params.omega_o).tobytes()
     assert result.cf_i.omega.tobytes() == (pll_run(i, params)[1] - params.omega_o).tobytes()
-    assert _bytes(result) == _bytes(_in_turn(v, i))
+    assert _bytes(result) == _bytes(without_fork(analyze, v, i, estimator="pll"))
 
 
 class _LoopError(Exception):
@@ -206,9 +161,9 @@ def _raise(exc):
     return action
 
 
-@needs_fork
-@pytest.mark.parametrize("exc", [FloatingPointError("loop diverged"), _LoopError("no lock")],
-                         ids=["builtin", "own-class"])
+@pytest.mark.parametrize("exc", [FloatingPointError("loop diverged"), _LoopError("no lock"),
+                                 ConfigError("grid.dt", "bad")],
+                         ids=["builtin", "own-class", "config-error"])
 def test_an_exception_in_the_child_reaches_the_caller(monkeypatch, nothing_left, exc):
     v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
     monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(_raise(exc)))
@@ -216,9 +171,35 @@ def test_an_exception_in_the_child_reaches_the_caller(monkeypatch, nothing_left,
         analyze(v, i, estimator="pll")
     assert type(caught.value) is type(exc)
     assert str(caught.value) == str(exc)
+    assert vars(caught.value) == vars(exc)
 
 
-@needs_fork
+class _TwoFieldError(Exception):
+    """Pickles, but unpickling calls __init__ with the one formatted arg."""
+
+    def __init__(self, field, reason):
+        super().__init__(f"{field}: {reason}")
+
+
+def _raises(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_an_exception_that_cannot_cross_the_pipe_is_one_runtime_error(nothing_left, where):
+    """A local class cannot be pickled in the child; a class whose __init__
+    takes two arguments is pickled there but cannot be unpickled here."""
+
+    class LocalError(Exception):
+        def __init__(self, field, reason):
+            super().__init__(f"{field}: {reason}")
+
+    exc = (LocalError if where == "child" else _TwoFieldError)("grid.dt", "bad")
+    name = type(exc).__name__
+    with pytest.raises(RuntimeError, match=rf"^the child process raised {name}: grid\.dt: bad, which cannot cross"):
+        ForkedCall(_raises, exc).result()
+
+
 @pytest.mark.parametrize("action, status", [
     (lambda: os._exit(3), 3),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
@@ -232,7 +213,6 @@ def test_a_child_that_dies_gives_one_runtime_error_with_its_status(
         analyze(v, i, estimator="pll")
 
 
-@needs_fork
 def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch, nothing_left):
     """The child would sleep a minute; the parent's error ends it at once."""
     v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)

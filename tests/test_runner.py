@@ -562,3 +562,72 @@ def test_verify_refuses_a_grid_it_would_double_past_the_sample_budget(monkeypatc
     monkeypatch.setattr(runner, "execute_scenario", never)
     with pytest.raises(ConfigError, match=r"at grid\.dt: verify runs 5000001 samples and then 10000001 at dt/2"):
         verify_scenario(config)
+
+
+# ----------------------------------------- SMIB simulations in a forked child
+
+def _long(doc, t_end=7.0):
+    """``doc`` on a grid of t_end / 1e-3 + 1 samples (7 001: past the fork's break-even)."""
+    return dict(doc, grid={"t_end": t_end, "dt": 0.001})
+
+
+def _files(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("doc", [_long(SMIB_DOC, 2.0), _long(SMIB_DOC, 3.0), _long(SMIB_DOC), TONE_DOC],
+                         ids=["smib-2001", "smib-3001", "smib-7001", "synthetic"])
+def test_verify_gives_the_same_report_with_and_without_fork(nothing_left, counting_forks, without_fork, doc):
+    """The dt/2 grid simulates in a child where it reaches the break-even."""
+    config = parse_scenario(doc)
+    report, forks = counting_forks(verify_scenario, config)
+    assert forks == (config.kind == "smib" and 2 * config.grid.n - 1 >= runner._FORK_MIN_SAMPLES)
+    assert repr(report) == repr(without_fork(verify_scenario, config))
+
+
+@pytest.mark.parametrize("values, t_end", [([0.0, 5.0, 10.0], 7.0), ([0.0, 5.0, 10.0, 2.0], 7.0),
+                                           ([0.0, 5.0, 10.0], 5.0)])
+def test_sweep_gives_the_same_files_with_and_without_fork(tmp_path, nothing_left, counting_forks, without_fork,
+                                                          values, t_end):
+    """Each odd row simulates in a child beside the even row before it, where
+    its grid reaches the break-even; records, table and series keep their bytes."""
+    sweep = parse_sweep({"sweep": {"axis": "system.D", "values": values}, "base": _long(SMIB_DOC, t_end)})
+    summary, forks = counting_forks(run_sweep, sweep, tmp_path / "forked", emit_series=True)
+    n = parse_scenario(sweep.base_doc).grid.n
+    assert forks == (len(values) // 2 if n >= runner._FORK_MIN_SAMPLES else 0)
+    assert summary == without_fork(run_sweep, sweep, tmp_path / "in_turn", emit_series=True)
+    assert len(_files(tmp_path / "forked")) == len(values) + 2
+    assert _files(tmp_path / "forked") == _files(tmp_path / "in_turn")
+
+
+def test_a_sweep_row_whose_simulation_fails_in_the_child_keeps_its_error(tmp_path, nothing_left, counting_forks,
+                                                                         without_fork):
+    sweep = parse_sweep({"sweep": {"axis": "system.Pm", "values": [0.9, 5.0]}, "base": _long(SMIB_DOC)})
+    summary, forks = counting_forks(run_sweep, sweep, tmp_path / "forked")
+    assert forks == 1
+    rows = summary["rows"]
+    assert rows[0]["status"] == "BoundedNotSynchronized" and rows[1]["status"] is None
+    assert rows[1]["error"].startswith("at system: no equilibrium: Pm=5.0 exceeds the maximum transfer")
+    assert summary == without_fork(run_sweep, sweep, tmp_path / "in_turn")
+
+
+def test_an_error_writing_the_even_row_kills_and_reaps_the_odd_rows_child(tmp_path, monkeypatch, nothing_left):
+    """The odd row's child would simulate for a minute; the even row's
+    OSError ends it at once."""
+    parent, simulate = os.getpid(), runner.smib_simulate
+
+    def slow_in_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        return simulate(*args)
+
+    def full_disk(path, columns, order):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(runner, "smib_simulate", slow_in_child)
+    monkeypatch.setattr(runner, "write_series_csv", full_disk)
+    sweep = parse_sweep({"sweep": {"axis": "system.D", "values": [0.0, 5.0]}, "base": _long(SMIB_DOC)})
+    start = time.perf_counter()
+    with pytest.raises(OSError, match="No space left on device"):
+        run_sweep(sweep, tmp_path, emit_series=True)
+    assert time.perf_counter() - start < 30.0
