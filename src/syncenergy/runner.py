@@ -8,16 +8,19 @@ output and a re-read series reproduces the analysis to machine
 precision.  The writer formats chunks of rows, every other one on the
 one thread of a ``ThreadPoolExecutor``, and the reader parses blocks of
 lines with orjson, which bounds the memory of both; the reader takes
-exactly the writer's grammar.
-Summary records are JSON with NaN mapped to null.
+exactly the writer's grammar, and parses a long body's second half in a
+forked child.  Summary records are JSON with NaN mapped to null.  Every
+output is written under a temporary name and renamed into place once whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +75,11 @@ def _switch_windows(config: ScenarioConfig, dt: float) -> tuple:
 # SMIB runs with one simulated in a forked child were the faster in 21 of 80
 # pairs at 5 000 samples, 42 at 6 000, 57 at 7 000 and 77 at 20 000
 _FORK_MIN_SAMPLES = 6000
+
+# series bodies shorter than this are read in turn: alternating in one
+# process, the read with a forked child was the faster in 0 of 80 pairs at
+# 1 MB of body, 5 at 2 MB, 23 at 2.5 MB, 45 at 3 MB, 67 at 3.5 MB
+_FORK_MIN_BYTES = 3_000_000
 
 
 def _simulate(config: ScenarioConfig):
@@ -257,6 +265,21 @@ def _check_names(names) -> None:
             raise ValueError(f"column name {name!r} is repeated")
 
 
+@contextlib.contextmanager
+def _whole_file(path, mode: str, **kwargs):
+    """A new file named ``.tmp-`` and 16 random hex digits beside ``path``,
+    renamed to ``path`` once the block ends, or deleted if anything raises."""
+    tmp = Path(path).with_name(f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x" + mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     """Write selected columns as CSV, ``_CHUNK_ROWS`` rows per write.
 
@@ -265,7 +288,7 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     A one-thread ``ThreadPoolExecutor`` formats the odd chunks, the
     calling thread the even ones and writes all in order, at most three
     in flight.  An exception from either thread is raised as it was
-    raised, once the worker thread has ended.
+    raised, once the worker thread has ended, and ``path`` is left as it was.
 
     Raises
     ------
@@ -288,7 +311,7 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     # runs that write no series would pay for at start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    with open(path, "wb") as fh, ThreadPoolExecutor(1) as worker:
+    with _whole_file(path, "b") as fh, ThreadPoolExecutor(1) as worker:
         fh.write((",".join(order) + "\n").encode("utf-8"))
         odd = worker.submit(chunk, _CHUNK_ROWS)
         for a in range(0, n, 2 * _CHUNK_ROWS):
@@ -358,6 +381,41 @@ def _block_cells(block: bytes, width: int, path, line: int) -> np.ndarray:
     return cells
 
 
+def _pread(fd: int, size: int, offset: int) -> bytes:
+    """``os.pread``; where it is missing (Windows, which has no ``os.fork``
+    either, so no other process shares the file offset) a seek and a read."""
+    if hasattr(os, "pread"):
+        return os.pread(fd, size, offset)
+    os.lseek(fd, offset, os.SEEK_SET)
+    return os.read(fd, size)
+
+
+def _read_rows(fd: int, start: int, stop: int, out, path, line: int):
+    """Parse the lines in bytes [start, stop) of ``fd``, the first being file
+    line ``line``, by ``_pread`` into ``out``, equal-length float64 arrays;
+    return ``out``.  ``ValueError`` unless they end at ``stop`` and fill ``out``."""
+    row, size = 0, _BLOCK_BYTES
+    while start < stop:
+        want = min(size, stop - start)
+        block = _pread(fd, want, start)
+        if len(block) < want:
+            break
+        if start + want < stop:  # whole lines only; the last block ends at stop
+            block = block[: block.rfind(_NL) + 1]
+        if not block:
+            size *= 2
+            continue
+        cells = _block_cells(block, len(out), path, line + row)
+        if row + len(cells) > len(out[0]):
+            break
+        for column, values in zip(out, cells.T):
+            column[row : row + len(cells)] = values
+        row, start, size = row + len(cells), start + len(block), _BLOCK_BYTES
+    if start != stop or row != len(out[0]):
+        raise ValueError(f"{path}: the file changed while it was read")
+    return out
+
+
 def read_series_csv(path) -> dict:
     """Read a series CSV back into float64 arrays keyed by column name.
 
@@ -369,7 +427,10 @@ def read_series_csv(path) -> dict:
     ``nan``.  A header-only file gives empty columns.  The body is
     parsed by orjson in blocks of about ``_BLOCK_BYTES`` of whole lines,
     into one array per column sized by a first pass that counts the
-    lines.
+    lines and splits them at the first line end at or after the body's byte
+    midpoint.  From ``_FORK_MIN_BYTES`` of body on, a forked child parses the
+    lines past the split beside this process; both halves read with
+    ``os.pread``, and the columns are the same bits either way.
 
     Raises
     ------
@@ -378,7 +439,7 @@ def read_series_csv(path) -> dict:
         anything else outside the grammar (``+1.5``, ``.5``, ``1.``,
         ``01``, ``1E5``, ``NaN``, ``true``, an empty cell, a blank line,
         CRLF, a row of the wrong width, ``1e400``), with the 1-based
-        line of the first bad row.
+        line of the first bad row; or if the file changes while it is read.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -391,20 +452,27 @@ def read_series_csv(path) -> dict:
             _check_names(names)
         except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}, line 1: {exc}") from None
-        n = sum(chunk.count(_NL) for chunk in iter(lambda: fh.read(_BLOCK_BYTES), b""))
-        fh.seek(len(header))
+        fd = fh.fileno()
+        mid = (len(header) + os.fstat(fd).st_size) // 2
+        end, n, split, n1 = len(header), 0, None, 0
+        while chunk := _pread(fd, _BLOCK_BYTES, end):
+            if split is None and (k := chunk.find(_NL, max(mid - end, 0))) >= 0:
+                split, n1 = end + k + 1, n + chunk.count(_NL, 0, k + 1)
+            n += chunk.count(_NL)
+            end += len(chunk)
+        if split is None:
+            split, n1 = end, n
         # one contiguous array per column, as the writer was given them
         columns = {name: np.empty(n) for name in names}
-        row = 0
-        while block := fh.read(_BLOCK_BYTES):
-            cells = _block_cells(block + fh.readline(), len(names), path, row + 2)
-            if row + len(cells) > n:
-                break
-            for column, values in zip(columns.values(), cells.T):
-                column[row : row + len(cells)] = values
-            row += len(cells)
-    if block or row != n:
-        raise ValueError(f"{path}: the file changed while it was read")
+        # read in turn, the tails are filled in place and copied onto themselves, a no-op
+        tails = [column[n1:] for column in columns.values()]
+        fork = end - len(header) >= _FORK_MIN_BYTES
+        with ForkedCall(_read_rows, fd, split, end, tails, path, n1 + 2, fork=fork) as rest:
+            _read_rows(fd, len(header), split, [column[:n1] for column in columns.values()], path, 2)
+            for tail, values in zip(tails, rest.result()):
+                tail[...] = values
+        if _pread(fd, 1, end):
+            raise ValueError(f"{path}: the file changed while it was read")
     return columns
 
 
@@ -422,7 +490,8 @@ def _jsonable(value):
 def _write_json(path: Path, record: dict) -> dict:
     """Write ``record`` as indented JSON, NaN and infinities as null; return what was written."""
     record = _jsonable(record)
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    with _whole_file(path, "", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
     return record
 
 
@@ -524,7 +593,7 @@ def run_sweep(sweep: SweepConfig, out_dir, emit_series: bool = False) -> dict:
                     row["error"] = str(exc)
 
     table_file = f"{sweep.name}.sweep.csv"
-    with open(out_dir / table_file, "w", encoding="utf-8", newline="") as fh:
+    with _whole_file(out_dir / table_file, "", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("axis",) + _SWEEP_FIELDS)
         for row in rows:

@@ -94,11 +94,12 @@ def counting_forks():
 
 @pytest.fixture(scope="session")
 def without_fork():
-    """Callable giving ``fn(*args, **kwargs)`` with os.fork deleted, as on Windows."""
+    """Callable giving ``fn(*args, **kwargs)`` with os.fork and os.pread deleted, as on Windows."""
 
     def call(fn, *args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
             mp.delattr(os, "fork")
+            mp.delattr(os, "pread")
             return fn(*args, **kwargs)
 
     return call

@@ -209,29 +209,42 @@ def test_series_csv_bad_cell_past_the_first_block_names_its_line(tmp_path):
         read_series_csv(path)
 
 
+def _split(data: bytes) -> tuple:
+    """The reader's split of a series file: the first line end at or after
+    the body's byte midpoint, and the rows before it."""
+    start = data.index(b"\n") + 1
+    split = data.index(b"\n", (start + len(data)) // 2) + 1
+    return split, data.count(b"\n", start, split)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-turn"])
+@pytest.mark.parametrize("half", ["first", "second"])
 @pytest.mark.parametrize("change", ["grow", "shrink"])
-def test_series_csv_refuses_a_file_that_changes_while_it_is_read(tmp_path, monkeypatch, change):
-    """The line count of the first pass sized the columns; a file that then
-    gains or loses whole rows is refused, not read short or past its end."""
+def test_series_csv_refuses_a_file_that_changes_while_it_is_read(tmp_path, monkeypatch, nothing_left, change, half,
+                                                                 fork):
+    """The line count of the first pass sized the columns and split them in
+    two halves; a file that then gains or loses whole rows, while either
+    half is read, is refused, not read short or past its end."""
     path = tmp_path / "moving.csv"
     rng = np.random.default_rng(7)
     write_series_csv(path, {"t": np.arange(20_000) * 1e-3, "p": rng.standard_normal(20_000)}, ("t", "p"))
     data = path.read_bytes()
-    assert len(data) > 3 * runner._BLOCK_BYTES
+    split, n1 = _split(data)
+    assert split - data.index(b"\n") > 3 * runner._BLOCK_BYTES and len(data) - split > 3 * runner._BLOCK_BYTES
+    start, first_line = (data.index(b"\n") + 1, 2) if half == "first" else (split, n1 + 2)
     block_cells = runner._block_cells
-    calls = []
 
-    def changing(*args):
-        if not calls:
+    def changing(block, width, path_, line):
+        if line == first_line:  # the half's first block, in whichever process reads it
             if change == "grow":
                 with open(path, "ab") as fh:
                     fh.write(b"0.0,0.0\n" * 10)
-            else:  # at a line end past the first block (and the read buffer), so no half row is left
-                os.truncate(path, data.index(b"\n", 2 * runner._BLOCK_BYTES) + 1)
-        calls.append(args)
-        return block_cells(*args)
+            else:  # at a line end two blocks into the half, so no half row is left
+                os.truncate(path, data.index(b"\n", start + 2 * runner._BLOCK_BYTES) + 1)
+        return block_cells(block, width, path_, line)
 
     monkeypatch.setattr(runner, "_block_cells", changing)
+    monkeypatch.setattr(runner, "_FORK_MIN_BYTES", 0 if fork else len(data))
     with pytest.raises(ValueError, match="changed while it was read"):
         read_series_csv(path)
 
@@ -323,16 +336,18 @@ _CELL = st.one_of(
 @given(
     width=st.integers(1, 4),
     block_bytes=st.sampled_from([1, 32, 256, runner._BLOCK_BYTES]),  # 1: every line its own block
+    fork_min_bytes=st.sampled_from([0, runner._FORK_MIN_BYTES]),  # 0: the second half in a forked child
     data=st.data(),
 )
-def test_series_csv_reader_matches_loadtxt_on_the_writer_grammar(width, block_bytes, data):
+def test_series_csv_reader_matches_loadtxt_on_the_writer_grammar(width, block_bytes, fork_min_bytes, data):
     rows = data.draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), max_size=40))
     names = CSV_COLUMNS[:width]
     body = "".join(",".join(row) + "\n" for row in rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cells.csv"
         path.write_text(",".join(names) + "\n" + body, encoding="utf-8")
-        with mock.patch.object(runner, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(runner, "_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(runner, "_FORK_MIN_BYTES", fork_min_bytes):
             got = read_series_csv(path)
         want = _loadtxt_series_csv(path)
     _assert_same_bits(got, want)
@@ -350,6 +365,20 @@ _SPECIAL_FLOATS = np.array([
     1.5e-5, -1.5e-5, 5e-05, 1.234e-05, -9.99e-05, 1.2345678901234567e-05,
     *_decade_neighbours(1e-5, -1e-5, 1e-4, -1e-4, 1e16, -1e16),
 ])
+
+
+def _bit_patterns(n_rows: int, names, seed: int) -> dict:
+    """Columns of random bit patterns, one cell in ten drawn from ``_SPECIAL_FLOATS``."""
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for name in names:
+        col = rng.integers(0, 2**64, size=n_rows, dtype=np.uint64, endpoint=False).view(float)
+        where = rng.random(n_rows) < 0.1
+        col[where] = rng.choice(_SPECIAL_FLOATS, size=int(where.sum()))
+        columns[name] = col
+    return columns
+
+
 # both sides of the writer's chunk edges, ending on an odd and an even chunk count
 _CHUNK_EDGES = [k * runner._CHUNK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
@@ -364,13 +393,7 @@ _CHUNK_EDGES = [k * runner._CHUNK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1
 )
 @example(n_rows=2 * runner._CHUNK_ROWS + 1, names=CSV_COLUMNS, seed=0)
 def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
-    rng = np.random.default_rng(seed)
-    columns = {}
-    for name in names:
-        col = rng.integers(0, 2**64, size=n_rows, dtype=np.uint64, endpoint=False).view(float)
-        where = rng.random(n_rows) < 0.1
-        col[where] = rng.choice(_SPECIAL_FLOATS, size=int(where.sum()))
-        columns[name] = col
+    columns = _bit_patterns(n_rows, names, seed)
     threads = threading.active_count()
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "bits.csv", Path(tmp) / "reference.csv"
@@ -407,6 +430,41 @@ def test_series_csv_writer_raises_a_formatting_error_from_either_thread(tmp_path
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "replacing"])
+@pytest.mark.parametrize("at", ["write", "rename"])
+@pytest.mark.parametrize("output", ["series", "json"])
+def test_a_failed_write_leaves_no_file_and_no_temporary(tmp_path, monkeypatch, output, at, earlier):
+    """A write that fails half-way (a full disk) or at its rename leaves no
+    truncated file under the final name, no temporary file, and an earlier
+    whole file as it was."""
+    full_disk = OSError(28, "No space left on device")
+    path = tmp_path / ("s.csv" if output == "series" else "s.summary.json")
+    if earlier:
+        path.write_bytes(b"t,p\n0.0,1.0\n")
+    if at == "rename":
+        monkeypatch.setattr(runner.os, "replace", mock.Mock(side_effect=full_disk))
+    elif output == "series":
+        format_rows = runner._csv_rows
+
+        def flaky(block):
+            if int(block[0, 0]) // runner._CHUNK_ROWS == 2:
+                raise full_disk
+            return format_rows(block)
+
+        monkeypatch.setattr(runner, "_csv_rows", flaky)
+    else:
+        monkeypatch.setattr(runner.json, "dumps", mock.Mock(side_effect=full_disk))
+    n_rows = 4 * runner._CHUNK_ROWS
+    with pytest.raises(OSError, match="No space left on device"):
+        if output == "series":
+            write_series_csv(path, {"t": np.arange(float(n_rows)), "p": np.ones(n_rows)}, ("t", "p"))
+        else:
+            runner._write_json(path, {"name": "s"})
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
+    if earlier:
+        assert path.read_bytes() == b"t,p\n0.0,1.0\n"
+
+
 @pytest.mark.parametrize("module, unwanted", [
     ("syncenergy.cli", ("concurrent.futures", "logging", "multiprocessing")),
     ("syncenergy.config", ("syncenergy.runner", "syncenergy.cli", "orjson",
@@ -436,6 +494,16 @@ def test_run_scenario_emits_csv_and_summary(tmp_path):
     assert summary["diverged"] is False
     assert summary["series_csv"] == "case.csv"
     assert summary["n_samples"] == 5001
+
+
+def test_outputs_are_created_as_the_umask_allows(tmp_path):
+    """Written under a temporary name, the outputs still get the mode an
+    ordinary open gives, not mkstemp's 0600."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    run_scenario(parse_scenario(TONE_DOC), tmp_path)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"tone.csv": 0o666 & ~umask, "tone.summary.json": 0o666 & ~umask}
 
 
 def test_run_scenario_can_skip_series(tmp_path):
@@ -631,3 +699,91 @@ def test_an_error_writing_the_even_row_kills_and_reaps_the_odd_rows_child(tmp_pa
     with pytest.raises(OSError, match="No space left on device"):
         run_sweep(sweep, tmp_path, emit_series=True)
     assert time.perf_counter() - start < 30.0
+
+
+# ------------------------------------- the series reader's second half in a child
+
+def _series_file(path) -> dict:
+    """6 000 rows of three columns of bit patterns written to ``path``; the columns."""
+    columns = _bit_patterns(6000, ("t", "p", "q"), 11)
+    write_series_csv(path, columns, tuple(columns))
+    return columns
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_series_csv_reads_the_same_bits_forked_and_in_turn(tmp_path, monkeypatch, nothing_left, counting_forks,
+                                                            without_fork, offset):
+    """A body of at least ``_FORK_MIN_BYTES`` has its second half parsed in a forked child."""
+    path = tmp_path / "bits.csv"
+    columns = _series_file(path)
+    body = path.stat().st_size - len("t,p,q\n")
+    monkeypatch.setattr(runner, "_FORK_MIN_BYTES", body + offset)
+    back, forks = counting_forks(read_series_csv, path)
+    assert forks == (offset <= 0)
+    _assert_same_bits(back, columns)
+    _assert_same_bits(without_fork(read_series_csv, path), columns)
+    assert all(column.flags.c_contiguous and column.flags.owndata for column in back.values())
+
+
+@pytest.mark.parametrize("bad, fault", [
+    (b"+1.5", "no row of series cells"),
+    (b"1.0,x", "is in no series cell"),
+    (b"1.0,2.0,3.0,4.0", "the header names 3 columns, the row holds 4"),
+])
+def test_series_csv_names_a_bad_row_in_the_childs_half_as_the_in_turn_read(tmp_path, monkeypatch, nothing_left,
+                                                                           without_fork, bad, fault):
+    path = tmp_path / "bad.csv"
+    _series_file(path)
+    data = path.read_bytes()
+    split, n1 = _split(data)
+    at = data.index(b"\n", split + 3000) + 1  # a row some lines past the split, in the child's half
+    path.write_bytes(data[:at] + bad + data[data.index(b"\n", at) :])
+    line = n1 + 2 + data.count(b"\n", split, at)
+    monkeypatch.setattr(runner, "_FORK_MIN_BYTES", 0)
+    with pytest.raises(ValueError) as forked:
+        read_series_csv(path)
+    with pytest.raises(ValueError) as in_turn:
+        without_fork(read_series_csv, path)
+    assert str(forked.value) == str(in_turn.value)
+    assert str(forked.value).startswith(f"{path}, line {line}: ") and fault in str(forked.value)
+
+
+def test_series_csv_names_the_first_halfs_bad_row_and_ends_the_child(tmp_path, monkeypatch, nothing_left):
+    """With a bad row in each half, the first is reported; the child, which
+    would parse for a minute, is killed and reaped at once."""
+    path = tmp_path / "bad.csv"
+    _series_file(path)
+    data = path.read_bytes()
+    split, _ = _split(data)
+    first = data.index(b"\n", 1000) + 1
+    second = data.index(b"\n", split + 1000) + 1
+    path.write_bytes(data[:first] + b"+" + data[first:second] + b"+" + data[second:])
+    parent, block_cells = os.getpid(), runner._block_cells
+
+    def slow_in_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        return block_cells(*args)
+
+    monkeypatch.setattr(runner, "_block_cells", slow_in_child)
+    monkeypatch.setattr(runner, "_FORK_MIN_BYTES", 0)
+    line = data.count(b"\n", 0, first) + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: ")):
+        read_series_csv(path)
+    assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("name", ["smib_h5_d5", "synth_dual_freq"])
+def test_bundled_series_read_back_bit_for_bit(tmp_path, scenario_runs, nothing_left, counting_forks, without_fork,
+                                              name):
+    """The emitted series of a bundled scenario reads back to the run's
+    columns, forked (both bodies pass the break-even) and in turn."""
+    run = scenario_runs(name)
+    path = tmp_path / f"{name}.csv"
+    write_series_csv(path, run.columns, run.config.columns)
+    want = {column: run.columns[column] for column in run.config.columns}
+    back, forks = counting_forks(read_series_csv, path)
+    assert forks == 1
+    _assert_same_bits(back, want)
+    _assert_same_bits(without_fork(read_series_csv, path), want)
