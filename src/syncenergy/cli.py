@@ -13,6 +13,7 @@ output directory the OS refuses, 3 verification bound exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -95,8 +96,10 @@ def _cmd_verify(args) -> int:
     print(f"  dt = {config.grid.dt / 2:g}: rel gap {report.fine.rel_gap:.3e}")
     if report.order is not None:
         print(f"  observed convergence order {report.order:.2f}")
-    else:
+    elif math.isfinite(report.coarse.rel_gap) and math.isfinite(report.fine.rel_gap):
         print("  observed convergence order n/a (gap at machine zero)")
+    else:
+        print("  observed convergence order n/a (gap not finite)")
     print(f"  bound {report.bound:g}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 3
 

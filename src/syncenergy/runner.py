@@ -5,12 +5,12 @@ Floats are written as the text ``repr`` gives, the shortest
 representation that round-trips exactly, produced by orjson and
 respelled, so re-running a scenario always produces byte-identical
 output and a re-read series reproduces the analysis to machine
-precision.  The writer formats chunks of rows, every other one on the
-one thread of a ``ThreadPoolExecutor``, and the reader parses blocks of
-lines with orjson, which bounds the memory of both; the reader takes
-exactly the writer's grammar, and parses a long body's second half in a
-forked child.  Summary records are JSON with NaN mapped to null.  Every
-output is written under a temporary name and renamed into place once whole.
+precision.  The writer formats chunks of rows, and the reader parses
+blocks of lines with orjson, which bounds the memory of both; the reader
+takes exactly the writer's grammar.  Each hands a long series' second
+half to a forked child.  Summary records are JSON with NaN mapped to
+null.  Every output is written under a temporary name and renamed into
+place once whole.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import json
 import math
 import os
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +77,11 @@ def _switch_windows(config: ScenarioConfig, dt: float) -> tuple:
 # SMIB runs with one simulated in a forked child were the faster in 21 of 80
 # pairs at 5 000 samples, 42 at 6 000, 57 at 7 000 and 77 at 20 000
 _FORK_MIN_SAMPLES = 6000
+
+# series of fewer cells than this are written in turn: alternating in one
+# process, the write with a forked child was the faster in 0 of 20 pairs at
+# 36 000 cells, 29 of 80 at 108 000, 54 at 144 000, 61 at 180 000, 75 at 360 000
+_FORK_MIN_CELLS = 150_000
 
 # series bodies shorter than this are read in turn: alternating in one
 # process, the read with a forked child was the faster in 0 of 80 pairs at
@@ -166,10 +173,10 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
     """Compare the SE routes at the configured dt and at dt/2.
 
     The observed convergence order is log2 of the gap ratio; it is None
-    when either gap vanishes (exactly representable scenarios).  A SMIB
-    scenario's dt/2 grid, past ``_FORK_MIN_SAMPLES``, simulates in a forked
-    child while this process simulates and analyses the coarse grid; the
-    report is the same either way.
+    when either gap vanishes (exactly representable scenarios) or is not
+    finite.  A SMIB scenario's dt/2 grid, past ``_FORK_MIN_SAMPLES``,
+    simulates in a forked child while this process simulates and analyses
+    the coarse grid; the report is the same either way.
 
     Raises
     ------
@@ -191,15 +198,15 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
     with _simulation(fine_config) as fine_sim:
         coarse = execute_scenario(config).identity
         fine = execute_scenario(fine_config, fine_sim).identity
-    if coarse.rel_gap > 0.0 and fine.rel_gap > 0.0:
-        order = math.log2(coarse.rel_gap / fine.rel_gap)
+    if 0.0 < coarse.rel_gap < math.inf and 0.0 < fine.rel_gap < math.inf:
+        order = math.log2(coarse.rel_gap) - math.log2(fine.rel_gap)  # finite, unlike a ratio's log
     else:
         order = None
     passed = coarse.rel_gap <= config.max_identity_gap
     return VerifyReport(coarse, fine, order, config.max_identity_gap, passed)
 
 
-# rows per chunk, at most three in flight: bounds the text alive at once
+# rows per chunk: bounds the text alive at once
 _CHUNK_ROWS = 1024
 
 _E, _MINUS, _COMMA, _LF = b"e-,\n"
@@ -215,10 +222,10 @@ def _csv_rows(block: np.ndarray) -> np.ndarray:
     (``e16``, ``e-7`` for ``repr``'s ``e+16``, ``e-07``), non-finite
     cells (``null``) and 1e-5 <= |x| < 1e-4 (``0.0000d...`` for
     ``d...e-05``).  The raveled block is dumped once, non-finite cells
-    as ``0.0`` (``-0.0`` for -inf), and respelled by numpy alone, which
-    releases the GIL: non-finite cells and row ends are overwritten,
-    ``0.0000`` is masked out and one ``np.insert`` adds the other bytes.
-    Returns uint8 codes, newline included; ``block`` is overwritten.
+    as ``0.0`` (``-0.0`` for -inf), and respelled by numpy alone:
+    non-finite cells and row ends are overwritten, ``0.0000`` is masked
+    out and one ``np.insert`` adds the other bytes.  Returns uint8 codes,
+    newline included; ``block`` is overwritten.
     """
     width = block.shape[1]
     cells = block.ravel()
@@ -280,15 +287,23 @@ def _whole_file(path, mode: str, **kwargs):
         raise
 
 
+def _write_rows(fh, arrays, start: int, stop: int) -> None:
+    """Write rows [start, stop) of ``arrays`` to ``fh``, ``_CHUNK_ROWS`` at a time, and flush it."""
+    for a in range(start, stop, _CHUNK_ROWS):
+        fh.write(_csv_rows(np.column_stack([col[a : min(a + _CHUNK_ROWS, stop)] for col in arrays])))
+    fh.flush()
+
+
 def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     """Write selected columns as CSV, ``_CHUNK_ROWS`` rows per write.
 
     Each cell is the text ``repr`` gives (exact round-trip), produced by
     orjson and respelled, so numpy's print options never reach the file.
-    A one-thread ``ThreadPoolExecutor`` formats the odd chunks, the
-    calling thread the even ones and writes all in order, at most three
-    in flight.  An exception from either thread is raised as it was
-    raised, once the worker thread has ended, and ``path`` is left as it was.
+    The rows past the midpoint go to an anonymous temporary file, copied
+    onto the end after the header and the rows before it; from
+    ``_FORK_MIN_CELLS`` cells on a forked child writes them meanwhile,
+    with the same bytes.  An exception from either process is raised
+    here, and ``path`` is left as it was.
 
     Raises
     ------
@@ -303,23 +318,15 @@ def write_series_csv(path, columns: dict, order: tuple = CSV_COLUMNS) -> None:
     for name, col in zip(order, arrays):
         if len(col) != n:
             raise ValueError(f"column {name!r} holds {len(col)} samples, column {order[0]!r} holds {n}")
-
-    def chunk(a: int):
-        return _csv_rows(np.column_stack([col[a : a + _CHUNK_ROWS] for col in arrays])) if a < n else b""
-
-    # imported here: concurrent.futures loads logging and queue, which the
-    # runs that write no series would pay for at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _whole_file(path, "b") as fh, ThreadPoolExecutor(1) as worker:
-        fh.write((",".join(order) + "\n").encode("utf-8"))
-        odd = worker.submit(chunk, _CHUNK_ROWS)
-        for a in range(0, n, 2 * _CHUNK_ROWS):
-            mine = chunk(a)
-            text = odd.result()
-            odd = worker.submit(chunk, a + 3 * _CHUNK_ROWS)  # the next pair's, before the writes
-            fh.write(mine)
-            fh.write(text)
+    half, fork = n // 2, n * len(arrays) >= _FORK_MIN_CELLS
+    with _whole_file(path, "b") as fh, tempfile.TemporaryFile(dir=Path(path).parent) as tail:
+        # the header is written after the fork: the child never flushes fh
+        with ForkedCall(_write_rows, tail, arrays, half, n, fork=fork) as rest:
+            fh.write((",".join(order) + "\n").encode("utf-8"))
+            _write_rows(fh, arrays, 0, half)
+            rest.result()
+        tail.seek(0)
+        shutil.copyfileobj(tail, fh)
 
 
 # body text parsed per orjson call, cut at a line end: bounds the bytes and

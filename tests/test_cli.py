@@ -306,6 +306,17 @@ def test_verify_passes_and_prints_order(tone_file, capsys):
     assert "PASS" in out
 
 
+def test_verify_prints_no_nan_order_when_both_gaps_are_infinite(capsys):
+    """Under the PLL the direct route of a constant scenario is exactly 0 and
+    the closed form is not, so both gaps are inf and no order exists."""
+    code = main(["verify", "synth_constant", "--estimator", "pll"])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "  dt = 0.001: rel gap inf over " in out
+    assert "  observed convergence order n/a (gap not finite)\n" in out
+    assert "nan" not in out
+
+
 def test_verify_unmeetable_bound_exits_3(tmp_path, capsys):
     path = tmp_path / "tight.yaml"
     path.write_text(TIGHT_YAML, encoding="utf-8")

@@ -390,15 +390,17 @@ _CHUNK_EDGES = [k * runner._CHUNK_ROWS + d for k in (1, 2, 3) for d in (-1, 0, 1
     n_rows=st.sampled_from([0, 1, 4095, 20_000, *_CHUNK_EDGES]),
     names=st.permutations(CSV_COLUMNS).flatmap(lambda p: st.integers(1, 5).map(lambda k: tuple(p[:k]))),
     seed=st.integers(0, 2**32 - 1),
+    fork_min_cells=st.sampled_from([0, runner._FORK_MIN_CELLS]),  # 0: the second half in a forked child
 )
-@example(n_rows=2 * runner._CHUNK_ROWS + 1, names=CSV_COLUMNS, seed=0)
-def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
+@example(n_rows=2 * runner._CHUNK_ROWS + 1, names=CSV_COLUMNS, seed=0, fork_min_cells=0)
+def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed, fork_min_cells):
     columns = _bit_patterns(n_rows, names, seed)
     threads = threading.active_count()
     with tempfile.TemporaryDirectory() as tmp:
         path, reference = Path(tmp) / "bits.csv", Path(tmp) / "reference.csv"
-        write_series_csv(path, columns, names)
-        assert threading.active_count() == threads  # the worker thread has ended
+        with mock.patch.object(runner, "_FORK_MIN_CELLS", fork_min_cells):
+            write_series_csv(path, columns, names)
+        assert threading.active_count() == threads  # no thread outlives the write
         _repr_series_csv(reference, columns, names)
         assert path.read_bytes() == reference.read_bytes()
         assert n_rows < 4095 or path.stat().st_size > runner._BLOCK_BYTES
@@ -406,28 +408,43 @@ def test_series_csv_round_trips_every_bit_pattern(n_rows, names, seed):
     _assert_same_bits(back, columns)
 
 
-@pytest.mark.parametrize("failing", [1, 2])  # chunk 1 on the worker, chunk 2 on the calling thread
-def test_series_csv_writer_raises_a_formatting_error_from_either_thread(tmp_path, monkeypatch, failing):
+@pytest.mark.parametrize("failing", [1, 2])  # chunk 1 in the calling process, chunk 2 in the child
+def test_series_csv_writer_raises_a_formatting_error_from_either_process(tmp_path, monkeypatch, nothing_left,
+                                                                          failing):
     n_rows = 4 * runner._CHUNK_ROWS
     columns = {"t": np.arange(float(n_rows)), "p": np.ones(n_rows)}
-    error = RuntimeError(f"chunk {failing}")
-    format_rows = runner._csv_rows
+    parent, format_rows = os.getpid(), runner._csv_rows
 
     def flaky(block):
         chunk = int(block[0, 0]) // runner._CHUNK_ROWS
-        assert (threading.current_thread() is threading.main_thread()) == (chunk % 2 == 0)
+        assert (os.getpid() == parent) == (chunk < 2)
         if chunk == failing:
-            raise error
-        if chunk % 2:
-            time.sleep(0.05)  # the worker is still busy when the calling thread fails
+            raise RuntimeError(f"chunk {failing}")
         return format_rows(block)
 
     monkeypatch.setattr(runner, "_csv_rows", flaky)
-    threads = threading.active_count()
+    monkeypatch.setattr(runner, "_FORK_MIN_CELLS", 0)
     with pytest.raises(RuntimeError) as raised:
         write_series_csv(tmp_path / "s.csv", columns, ("t", "p"))
-    assert raised.value is error
-    assert threading.active_count() == threads
+    assert (type(raised.value), str(raised.value)) == (RuntimeError, f"chunk {failing}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_series_csv_writes_the_same_bytes_forked_and_in_turn(tmp_path, monkeypatch, nothing_left, counting_forks,
+                                                              without_fork, offset):
+    """A series of at least ``_FORK_MIN_CELLS`` cells has its second half written by a forked child."""
+    names = ("t", "p", "q")
+    columns = _bit_patterns(3001, names, 12)
+    monkeypatch.setattr(runner, "_FORK_MIN_CELLS", 3 * 3001 + offset)
+    _repr_series_csv(tmp_path / "reference.csv", columns, names)
+    _, forks = counting_forks(write_series_csv, tmp_path / "written.csv", columns, names)
+    assert forks == (offset <= 0)
+    without_fork(write_series_csv, tmp_path / "in_turn.csv", columns, names)
+    want = (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "written.csv").read_bytes() == want
+    assert (tmp_path / "in_turn.csv").read_bytes() == want
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in_turn.csv", "reference.csv", "written.csv"]
 
 
 @pytest.mark.parametrize("earlier", [False, True], ids=["new", "replacing"])
@@ -447,22 +464,25 @@ def test_a_failed_write_leaves_no_file_and_no_temporary(tmp_path, monkeypatch, o
         format_rows = runner._csv_rows
 
         def flaky(block):
-            if int(block[0, 0]) // runner._CHUNK_ROWS == 2:
+            if int(block[0, 0]) // runner._CHUNK_ROWS == failing:
                 raise full_disk
             return format_rows(block)
 
         monkeypatch.setattr(runner, "_csv_rows", flaky)
+        monkeypatch.setattr(runner, "_FORK_MIN_CELLS", 0)  # the second half in a forked child
     else:
         monkeypatch.setattr(runner.json, "dumps", mock.Mock(side_effect=full_disk))
     n_rows = 4 * runner._CHUNK_ROWS
-    with pytest.raises(OSError, match="No space left on device"):
-        if output == "series":
-            write_series_csv(path, {"t": np.arange(float(n_rows)), "p": np.ones(n_rows)}, ("t", "p"))
-        else:
-            runner._write_json(path, {"name": "s"})
-    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
-    if earlier:
-        assert path.read_bytes() == b"t,p\n0.0,1.0\n"
+    # a series write fails once in each half: chunk 1 in this process, chunk 2 in the child
+    for failing in (1, 2) if output == "series" and at == "write" else (None,):
+        with pytest.raises(OSError, match="No space left on device"):
+            if output == "series":
+                write_series_csv(path, {"t": np.arange(float(n_rows)), "p": np.ones(n_rows)}, ("t", "p"))
+            else:
+                runner._write_json(path, {"name": "s"})
+        assert [p.name for p in tmp_path.iterdir()] == ([path.name] if earlier else [])
+        if earlier:
+            assert path.read_bytes() == b"t,p\n0.0,1.0\n"
 
 
 @pytest.mark.parametrize("module, unwanted", [
@@ -471,15 +491,27 @@ def test_a_failed_write_leaves_no_file_and_no_temporary(tmp_path, monkeypatch, o
                            "concurrent.futures", "multiprocessing")),
 ], ids=["cli", "config"])
 def test_importing_the_package_loads_no_executor(module, unwanted):
-    """The writer imports its executor when called: concurrent.futures
-    loads logging and queue, a start-up cost of every run.  The PLL
-    estimator forks with os and pickle alone, no process pool.  Importing
+    """No import loads concurrent.futures, which loads logging and queue,
+    a start-up cost of every run: the package forks with os and pickle
+    alone, no pool of threads or processes.  Importing
     one module loads only what that module needs: config, which parses the
     documents, needs neither the runner nor its CSV codec."""
     code = f"import sys, {module}; print(sorted(set({unwanted!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))  # this copy of the package
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_a_run_leaves_no_executor_and_no_thread(tmp_path):
+    """A full run, series included, uses the second core by forking alone:
+    no executor is loaded and no thread but the main one is left."""
+    code = ("import sys, threading; from syncenergy import cli; "
+            f"assert cli.main(['run', 'smib_h5_d5', '--out-dir', {str(tmp_path)!r}]) == 0; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=str(Path(runner.__file__).parents[1]))  # this copy of the package
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.endswith("\nFalse 1\n")
+    assert (tmp_path / "smib_h5_d5.csv").stat().st_size > 0
 
 
 # ------------------------------------------------------------- run_scenario
@@ -658,11 +690,15 @@ def test_verify_gives_the_same_report_with_and_without_fork(nothing_left, counti
 def test_sweep_gives_the_same_files_with_and_without_fork(tmp_path, nothing_left, counting_forks, without_fork,
                                                           values, t_end):
     """Each odd row simulates in a child beside the even row before it, where
-    its grid reaches the break-even; records, table and series keep their bytes."""
+    its grid reaches the break-even, and each series past the writer's
+    break-even writes its second half in a child; records, table and series
+    keep their bytes."""
     sweep = parse_sweep({"sweep": {"axis": "system.D", "values": values}, "base": _long(SMIB_DOC, t_end)})
     summary, forks = counting_forks(run_sweep, sweep, tmp_path / "forked", emit_series=True)
-    n = parse_scenario(sweep.base_doc).grid.n
-    assert forks == (len(values) // 2 if n >= runner._FORK_MIN_SAMPLES else 0)
+    base = parse_scenario(sweep.base_doc)
+    n = base.grid.n
+    assert forks == ((len(values) // 2 if n >= runner._FORK_MIN_SAMPLES else 0)
+                     + (len(values) if n * len(base.columns) >= runner._FORK_MIN_CELLS else 0))
     assert summary == without_fork(run_sweep, sweep, tmp_path / "in_turn", emit_series=True)
     assert len(_files(tmp_path / "forked")) == len(values) + 2
     assert _files(tmp_path / "forked") == _files(tmp_path / "in_turn")
