@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EDGE_WIDTH, conditional_variance, teo_real
+from .energy import EDGE_WIDTH, teo_real
 from .signals import EPS_MAG, CFSeries, ParkSeries, TimeGrid, _require_same_grid
 
 # grid steps always skipped next to a switching instant, so derivative
@@ -139,13 +139,12 @@ class ClassifierPolicy:
         return max(self.guard, _GUARD_STENCIL * dt)
 
 
-def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
+def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries, var_v, var_i) -> SESeries:
     """Synchronization energy from the complex frequencies of v and i.
 
     Evaluates the closed-form decomposition: the frequency-mismatch term
     ``(omega_v - omega_i)^2 2|s|^2`` plus the amplitude-variance term
-    ``(var_omega_v + var_omega_i) 2|s|^2``, with the variances computed
-    from the same envelopes that produced the complex frequencies.
+    ``(var_omega_v + var_omega_i) 2|s|^2``.
     Samples where either envelope is at or below :data:`EPS_MAG`, or |s|
     at or below ``EPS_MAG**2``, are flagged invalid.
 
@@ -155,6 +154,8 @@ def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
         Complex frequency of the voltage and current Park vectors.
     s : ParkSeries
         Complex power series v conj(i) on the same grid.
+    var_v, var_i : ndarray
+        :func:`~syncenergy.energy.conditional_variance` of each magnitude.
 
     Returns
     -------
@@ -163,8 +164,7 @@ def se_from_cf(cf_v: CFSeries, cf_i: CFSeries, s: ParkSeries) -> SESeries:
     _require_same_grid(cf_v.grid, cf_i.grid, "se_from_cf")
     _require_same_grid(cf_v.grid, s.grid, "se_from_cf")
     grid = s.grid
-    var_term = conditional_variance(cf_v.magnitude, grid)
-    var_term += conditional_variance(cf_i.magnitude, grid)
+    var_term = var_v + var_i
     s_mag2 = s.d * s.d + s.q * s.q
     freq_term = cf_v.omega - cf_i.omega
     freq_term *= freq_term

@@ -13,11 +13,12 @@ The instantaneous frequencies can come either from finite differences
 (``estimator="fd"``) or from a phase-locked loop tracking each vector
 (``estimator="pll"``).  The PLL route carries loop transients near the
 start of the record; envelope terms use finite differences in both modes.
-Its two loops are per-sample Python code that holds the GIL, so where
-``os.fork`` exists and the grid is long enough, the voltage's loop runs in
-a forked child while the calling process runs the current's; the results
-are the same bits either way.  :class:`ForkedCall` is the one helper that
-forks, here and for the runner's SMIB simulations.
+Nothing couples v's and i's frequencies until the closed form, so where
+``os.fork`` exists and the grid is long enough, v's part runs in a forked
+child while the calling process runs i's: under ``fd`` v's complex frequency
+and envelope variance, written into :func:`shared_array` memory; under
+``pll`` v's GIL-bound loop.  The results are the same bits either way.
+:class:`ForkedCall` is the one helper that forks, here and in the runner.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import conditional_variance
 from .metric import SESeries, normalized_se, se_from_cf, se_numeric
 from .pll import PllParams, pll_run
-from .signals import CFSeries, ParkSeries, _as_series, complex_frequency, complex_power
+from .signals import CFSeries, ParkSeries, _as_series, _require_same_grid, complex_frequency, complex_power
 
 ESTIMATORS = ("fd", "pll")
 
@@ -41,6 +43,11 @@ ESTIMATORS = ("fd", "pll")
 # the faster in 15 of 80 pairs at 1 000 samples, 41 at 1 500, 56 at 3 000
 # and 76 at 5 000
 _FORK_MIN_SAMPLES = 1500
+
+# fd grids shorter than this analyse v in turn: alternating in one process, the
+# forked analyze(fd) was the faster in 27 of 80 pairs at 90 000 samples and 69
+# at 100 000 holding only the pair, 45 at 200 000 and 77 at 300 000 holding 160 MB more
+_FORK_MIN_FD_SAMPLES = 200_000
 
 
 @dataclass
@@ -93,25 +100,38 @@ def analyze(
 
     Notes
     -----
-    With ``estimator="pll"`` on a grid of at least ``_FORK_MIN_SAMPLES``
-    samples, v's loop runs in a child made by ``os.fork``, which pickles its
-    speeds into a pipe.  An exception raised there is raised here with its
-    type and message; a child that dies without a result raises
-    ``RuntimeError`` naming its exit status.  No child process or file
-    descriptor outlives the call.
+    On a grid of at least ``_FORK_MIN_FD_SAMPLES`` samples with
+    ``estimator="fd"``, or ``_FORK_MIN_SAMPLES`` with ``estimator="pll"``,
+    v's part runs in a child made by ``os.fork`` beside all of i's: its
+    complex frequency and envelope variance, written into shared arrays,
+    or its PLL speeds, pickled into a pipe.  An exception raised there is
+    raised here with its type and message; a child that dies without a
+    result raises ``RuntimeError`` naming its exit status.  No child
+    process or file descriptor outlives the call.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    _require_same_grid(v.grid, i.grid, "analyze")
+    grid, pll = v.grid, estimator == "pll"
+    fork = grid.n >= (_FORK_MIN_SAMPLES if pll else _FORK_MIN_FD_SAMPLES) and hasattr(os, "fork")
+    out = [shared_array(grid.n) for _ in range(4)] if fork and not pll else None
+    v_call = (_pll_omega, v, pll_params) if pll else (_v_route, v, out)
     # the kernels run unchecked, and on a very fine grid their derivatives
     # overflow; the series handed out are checked once, below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = complex_power(v, i)
-        cf_v = complex_frequency(v)
-        cf_i = complex_frequency(i)
-        if estimator == "pll":
-            cf_v.omega, cf_i.omega = _pll_omegas(v, i, pll_params)
-        se = se_from_cf(cf_v, cf_i, s)
-        psi_numeric = se_numeric(s.d, s.q, s.grid)
+        with ForkedCall(*v_call, fork=fork) as v_part:
+            s = complex_power(v, i)
+            cf_i = complex_frequency(i)
+            var_i = conditional_variance(cf_i.magnitude, grid)
+            psi_numeric = se_numeric(s.d, s.q, grid)
+            if pll:  # v's loop is the child's part, v's envelope this process's
+                cf_v, var_v = _v_route(v, None)
+                cf_i.omega = _pll_omega(i, pll_params)
+                cf_v.omega = v_part.result()
+            else:  # forked, the child filled ``out`` and returned None
+                cf_v, var_v = v_part.result() or (CFSeries(grid, *out[:3]), out[3])
+        se = se_from_cf(cf_v, cf_i, s, var_v, var_i)
+        del out, var_v, var_i  # freed before the last kernel allocates
         normalized = normalized_se(se)
     for name, x in (
         ("rho_v", cf_v.rho),
@@ -121,16 +141,19 @@ def analyze(
         ("psi_cf", se.psi),
         ("psi_numeric", psi_numeric),
     ):
-        _as_series(x, s.grid.n, name)
+        _as_series(x, grid.n, name)
     return AnalysisResult(s, cf_v, cf_i, se, psi_numeric, normalized)
 
 
-def _pll_omegas(v: ParkSeries, i: ParkSeries, params: PllParams) -> tuple[np.ndarray, np.ndarray]:
-    """Both PLL speed deviations from ``omega_o``: v's in a forked child
-    while this process tracks i, so the two GIL-bound loops share two cores."""
-    with ForkedCall(_pll_omega, v, params, fork=v.grid.n >= _FORK_MIN_SAMPLES) as omega_v:
-        omega_i = _pll_omega(i, params)
-        return omega_v.result(), omega_i
+def _v_route(v: ParkSeries, out: list | None):
+    """v's complex frequency and envelope variance, or with ``out`` (four
+    shared arrays) their rho, omega, magnitude and variance written there."""
+    cf = complex_frequency(v)
+    var = conditional_variance(cf.magnitude, v.grid)
+    if out is None:
+        return cf, var
+    for dst, src in zip(out, (cf.rho, cf.omega, cf.magnitude, var)):
+        dst[...] = src
 
 
 def _pll_omega(x: ParkSeries, params: PllParams) -> np.ndarray:
@@ -149,11 +172,21 @@ def _outcome(fn, args):
             return RuntimeError(f"the child process raised {type(exc).__name__}: {exc}, which cannot cross the pipe")
 
 
+def shared_array(n: int) -> np.ndarray:
+    """``n`` float64 values in anonymous shared memory, which holds no file
+    descriptor: a child forked after this call fills them in place."""
+    import mmap  # here, not at the top: `import syncenergy.config` loads this module
+
+    return np.frombuffer(mmap.mmap(-1, 8 * n or 1), count=n)  # mmap refuses length 0
+
+
 class ForkedCall:
     """``fn(*args)`` run in a child made by ``os.fork``, which pickles what
-    it returns or raises into a pipe.  With ``fork`` false, or without
-    ``os.fork``, :meth:`result` calls it here.  Leaving a ``with`` block
-    cancels a child whose result was not taken."""
+    it returns or raises into a pipe.  A child that fills arrays from
+    :func:`shared_array` returns None, so only None or an exception
+    crosses the pipe.  With ``fork`` false, or without ``os.fork``,
+    :meth:`result` calls it here.  Leaving a ``with`` block cancels a
+    child whose result was not taken."""
 
     def __init__(self, fn, *args, fork: bool = True) -> None:
         self._call, self._pid, self._src = (fn, args), 0, None

@@ -32,7 +32,7 @@ import orjson
 
 from .config import CSV_COLUMNS, MAX_SAMPLES, ConfigError, ScenarioConfig, SweepConfig, apply_axis, parse_scenario
 from .metric import SyncStatus, SyncVerdict, classify_sync
-from .pipeline import AnalysisResult, ForkedCall, IdentityReport, analyze, identity_gap
+from .pipeline import AnalysisResult, ForkedCall, IdentityReport, analyze, identity_gap, shared_array
 from .simulator import smib_simulate, synthetic_signal
 from .signals import TimeGrid
 
@@ -397,10 +397,10 @@ def _pread(fd: int, size: int, offset: int) -> bytes:
     return os.read(fd, size)
 
 
-def _read_rows(fd: int, start: int, stop: int, out, path, line: int):
+def _read_rows(fd: int, start: int, stop: int, out, path, line: int) -> None:
     """Parse the lines in bytes [start, stop) of ``fd``, the first being file
-    line ``line``, by ``_pread`` into ``out``, equal-length float64 arrays;
-    return ``out``.  ``ValueError`` unless they end at ``stop`` and fill ``out``."""
+    line ``line``, by ``_pread`` into ``out``, equal-length float64 arrays.
+    ``ValueError`` unless they end at ``stop`` and fill ``out``."""
     row, size = 0, _BLOCK_BYTES
     while start < stop:
         want = min(size, stop - start)
@@ -420,7 +420,6 @@ def _read_rows(fd: int, start: int, stop: int, out, path, line: int):
         row, start, size = row + len(cells), start + len(block), _BLOCK_BYTES
     if start != stop or row != len(out[0]):
         raise ValueError(f"{path}: the file changed while it was read")
-    return out
 
 
 def read_series_csv(path) -> dict:
@@ -434,10 +433,11 @@ def read_series_csv(path) -> dict:
     ``nan``.  A header-only file gives empty columns.  The body is
     parsed by orjson in blocks of about ``_BLOCK_BYTES`` of whole lines,
     into one array per column sized by a first pass that counts the
-    lines and splits them at the first line end at or after the body's byte
-    midpoint.  From ``_FORK_MIN_BYTES`` of body on, a forked child parses the
-    lines past the split beside this process; both halves read with
-    ``os.pread``, and the columns are the same bits either way.
+    lines.  From ``_FORK_MIN_BYTES`` of body on, a forked child parses the
+    lines past the first line end at or after the body's byte midpoint into
+    shared memory, copied into the columns, beside this process parsing
+    those before it; both halves read with ``os.pread``, and the columns
+    are the same bits as a read in turn, which parses the body in one pass.
 
     Raises
     ------
@@ -467,17 +467,21 @@ def read_series_csv(path) -> dict:
                 split, n1 = end + k + 1, n + chunk.count(_NL, 0, k + 1)
             n += chunk.count(_NL)
             end += len(chunk)
-        if split is None:
+        fork = end - len(header) >= _FORK_MIN_BYTES and hasattr(os, "fork")
+        if split is None or not fork:  # read in turn, one pass covers the body
             split, n1 = end, n
-        # one contiguous array per column, as the writer was given them
+        # one contiguous array per column, as the writer was given them.  A
+        # forked child parses the tails into shared memory, copied in below:
+        # columns in shared memory would take fresh pages where np.empty
+        # reuses what the process freed, and raise the peak of a long run
         columns = {name: np.empty(n) for name in names}
-        # read in turn, the tails are filled in place and copied onto themselves, a no-op
-        tails = [column[n1:] for column in columns.values()]
-        fork = end - len(header) >= _FORK_MIN_BYTES
+        tails = [shared_array(n - n1) for _ in names] if fork else [column[n1:] for column in columns.values()]
         with ForkedCall(_read_rows, fd, split, end, tails, path, n1 + 2, fork=fork) as rest:
             _read_rows(fd, len(header), split, [column[:n1] for column in columns.values()], path, 2)
-            for tail, values in zip(tails, rest.result()):
-                tail[...] = values
+            rest.result()
+        if fork:
+            for column, tail in zip(columns.values(), tails):
+                column[n1:] = tail
         if _pread(fd, 1, end):
             raise ValueError(f"{path}: the file changed while it was read")
     return columns

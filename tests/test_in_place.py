@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from syncenergy import pipeline
 from syncenergy.energy import conditional_variance, teo_real
 from syncenergy.metric import (
     ClassifierPolicy,
@@ -227,7 +228,7 @@ def test_power_frequency_and_se_match_references(pairs):
         cf_v, cf_i = complex_frequency(v), complex_frequency(i)
         for cf, x in ((cf_v, v), (cf_i, i)):
             assert all(map(_same_bits, (cf.rho, cf.omega, cf.magnitude), _complex_frequency(x)))
-        se = se_from_cf(cf_v, cf_i, s)
+        se = se_from_cf(cf_v, cf_i, s, *(conditional_variance(cf.magnitude, grid) for cf in (cf_v, cf_i)))
         fields = (se.psi, se.freq_term, se.var_term, se.s_mag2, se.valid)
         assert all(map(_same_bits, fields, _se_from_cf(cf_v, cf_i, s)))
         assert _same_bits(se_numeric(s.d, s.q, grid), _teo_real(s.d, grid) + _teo_real(s.q, grid))
@@ -306,8 +307,9 @@ def _arrays(result):
             se.var_term, se.s_mag2, se.valid, result.psi_numeric, result.normalized)
 
 
-def test_kernels_never_write_their_inputs():
-    """Every kernel runs on read-only inputs and leaves them bitwise unchanged."""
+def test_kernels_never_write_their_inputs(monkeypatch):
+    """Every kernel runs on read-only inputs and leaves them bitwise unchanged,
+    analyze(fd) forked as well as in turn."""
     grid = TimeGrid(0.0, 1e-3, 4001)
     t = grid.times()
     env = 1.0 + 0.3 * np.sin(2.0 * t)
@@ -325,14 +327,17 @@ def test_kernels_never_write_their_inputs():
 
     s = complex_power(v, i)
     cf_v, cf_i = complex_frequency(v), complex_frequency(i)
+    var_v, var_i = (conditional_variance(cf.magnitude, grid) for cf in (cf_v, cf_i))
     handed = (s.d, s.q, cf_v.rho, cf_v.omega, cf_v.magnitude,
-              cf_i.rho, cf_i.omega, cf_i.magnitude)
+              cf_i.rho, cf_i.omega, cf_i.magnitude, var_v, var_i)
     kept = _freeze(*handed)
-    se_from_cf(cf_v, cf_i, s)
+    se_from_cf(cf_v, cf_i, s, var_v, var_i)
     se_numeric(s.d, s.q, grid)
     assert _bytes(*handed) == kept
 
-    for estimator in ("fd", "pll"):
+    for estimator, fork_min in (("fd", None), ("fd", 0), ("pll", None)):
+        if fork_min is not None:
+            monkeypatch.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", fork_min)
         result = analyze(v, i, estimator, PllParams())
         held = _arrays(result)
         kept = _freeze(*held)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncenergy.energy import EDGE_WIDTH
+from syncenergy.energy import EDGE_WIDTH, conditional_variance
 from syncenergy.metric import (
     ClassifierPolicy,
     SESeries,
@@ -26,6 +26,11 @@ def _analyze_template(**kwargs):
     spec = SyntheticSpec(grid=GRID, **kwargs)
     v, i = synthetic_signal(spec)
     return analyze(v, i)
+
+
+def _variances(*cfs):
+    """The conditional variance of each complex frequency's envelope."""
+    return [conditional_variance(cf.magnitude, cf.grid) for cf in cfs]
 
 
 def _se_of(psi, grid, valid=None):
@@ -78,7 +83,8 @@ def test_se_rejects_mismatched_grids():
     v, i = synthetic_signal(SyntheticSpec(template="constant_phasor", grid=GRID))
     v2, i2 = synthetic_signal(SyntheticSpec(template="constant_phasor", grid=other))
     with pytest.raises(ValueError, match="same grid"):
-        se_from_cf(complex_frequency(v), complex_frequency(i2), complex_power(v, i))
+        cf_v, cf_i = complex_frequency(v), complex_frequency(i2)
+        se_from_cf(cf_v, cf_i, complex_power(v, i), *_variances(cf_v, cf_i))
 
 
 def test_se_flags_envelope_dropout_but_stays_finite():
@@ -91,7 +97,8 @@ def test_se_flags_envelope_dropout_but_stays_finite():
     dropout[100:120] = True
     scale = np.where(dropout, 0.5 * EPS_MAG, 1.0)
     v = ParkSeries(GRID, v.d * scale, v.q * scale)
-    se = se_from_cf(complex_frequency(v), complex_frequency(i), complex_power(v, i))
+    cf_v, cf_i = complex_frequency(v), complex_frequency(i)
+    se = se_from_cf(cf_v, cf_i, complex_power(v, i), *_variances(cf_v, cf_i))
     np.testing.assert_array_equal(se.valid, ~dropout)
     assert np.isfinite(se.psi).all()
 

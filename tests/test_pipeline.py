@@ -14,6 +14,7 @@ from syncenergy import pipeline
 from syncenergy.config import ConfigError
 from syncenergy.pipeline import ESTIMATORS, ForkedCall, analyze, identity_gap
 from syncenergy.pll import PllParams, pll_run
+from syncenergy.runner import execute_scenario
 from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
 
@@ -228,3 +229,98 @@ def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch, nothi
     with pytest.raises(_LoopError, match="parent loop failed"):
         analyze(v, i, estimator="pll")
     assert time.perf_counter() - start < 30.0
+
+
+# ------------------------------------------------------- forked fd analysis
+
+def _all_bytes(result):
+    """The bytes of every array an AnalysisResult holds."""
+    se = result.se
+    return [x.tobytes() for x in (result.s.d, result.s.q, result.cf_v.rho, result.cf_v.omega,
+                                  result.cf_v.magnitude, result.cf_i.rho, result.cf_i.omega,
+                                  result.cf_i.magnitude, se.psi, se.freq_term, se.var_term, se.s_mag2,
+                                  se.valid, result.psi_numeric, result.normalized)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(pair=_dropout_pairs(), cut=st.integers(5, 3000))
+def test_forked_fd_analysis_gives_the_bits_of_the_analysis_in_turn(leaves_nothing, counting_forks, without_fork,
+                                                                    pair, cut):
+    """With the break-even patched to ``cut``: forked from ``cut`` samples on,
+    and the same bits as in turn (break-even past the grid) and without os.fork."""
+    v, i = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", cut)
+        with leaves_nothing():
+            result, forks = counting_forks(analyze, v, i)
+        assert forks == (v.grid.n >= cut)
+        forked = _all_bytes(result)
+        assert forked == _all_bytes(without_fork(analyze, v, i))
+        mp.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", v.grid.n + 1)
+        assert forked == _all_bytes(analyze(v, i))
+        mp.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", cut)
+        with leaves_nothing():  # under pll only v's loop forks
+            assert counting_forks(analyze, v, i, "pll")[1] == (v.grid.n >= pipeline._FORK_MIN_SAMPLES)
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_fd_analysis_forks_from_its_break_even(monkeypatch, nothing_left, counting_forks, offset):
+    n = pipeline._FORK_MIN_FD_SAMPLES + offset
+    v, i = synthetic_signal(SyntheticSpec(grid=TimeGrid(0.0, 1e-4, n), template="dual_frequency",
+                                          omega1=3.0, omega2=1.0))
+    result, forks = counting_forks(analyze, v, i)
+    assert forks == (offset == 0)
+    monkeypatch.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", n + 1)
+    assert _all_bytes(result) == _all_bytes(analyze(v, i))
+
+
+def test_a_value_error_in_the_forked_v_route_reaches_the_caller_as_in_turn(monkeypatch, nothing_left,
+                                                                          load_bundled):
+    """Raised where v's envelope variance is computed, in the child or in turn:
+    analyze raises it with its type and message, and execute_scenario maps
+    it to the same ConfigError."""
+    config = load_bundled("synth_dual_freq")
+    v, _ = synthetic_signal(config.synthetic)
+    v_mag, variance = np.hypot(v.d, v.q), pipeline.conditional_variance
+
+    def failing(a, grid):
+        if np.array_equal(a, v_mag):
+            raise ValueError("v's envelope is bad")
+        return variance(a, grid)
+
+    monkeypatch.setattr(pipeline, "conditional_variance", failing)
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    errors = []
+    for cut, n_forks in ((0, 1), (config.grid.n + 1, 0)):
+        monkeypatch.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", cut)
+        forks.clear()
+        with pytest.raises(ValueError) as caught:
+            analyze(*synthetic_signal(config.synthetic))
+        assert type(caught.value) is ValueError and str(caught.value) == "v's envelope is bad"
+        with pytest.raises(ConfigError) as caught:
+            execute_scenario(config)
+        errors.append((caught.value.path, caught.value.message))
+        assert len(forks) == 2 * n_forks
+    assert errors[0] == errors[1] == ("grid.dt", f"v's envelope is bad when analysed at dt={config.grid.dt!r}")
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_analyze_refuses_mismatched_grids_before_any_fork(monkeypatch, nothing_left, estimator):
+    monkeypatch.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", 0)
+    monkeypatch.setattr(pipeline, "_FORK_MIN_SAMPLES", 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    v, _ = _pair(template="constant_phasor")
+    other = TimeGrid(0.0, 1e-3, GRID.n + 1)
+    i = ParkSeries(other, np.ones(other.n), np.zeros(other.n))
+    with pytest.raises(ValueError, match="same grid"):
+        analyze(v, i, estimator)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 1000])
+def test_shared_array_is_a_writable_contiguous_float64_array_a_child_fills(nothing_left, n):
+    a = pipeline.shared_array(n)
+    assert a.shape == (n,) and a.dtype == np.float64
+    assert a.flags.writeable and a.flags.c_contiguous
+    ForkedCall(a.__setitem__, Ellipsis, np.arange(n, dtype=float)).result()
+    assert a.tobytes() == np.arange(n, dtype=float).tobytes()

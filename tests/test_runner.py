@@ -222,9 +222,11 @@ def _split(data: bytes) -> tuple:
 @pytest.mark.parametrize("change", ["grow", "shrink"])
 def test_series_csv_refuses_a_file_that_changes_while_it_is_read(tmp_path, monkeypatch, nothing_left, change, half,
                                                                  fork):
-    """The line count of the first pass sized the columns and split them in
-    two halves; a file that then gains or loses whole rows, while either
-    half is read, is refused, not read short or past its end."""
+    """The line count of the first pass sized the columns and, for a forked
+    read, split them in two halves; a file that then gains or loses whole
+    rows, while either half (read in turn, in one pass, the block holding
+    that half's first line) is read, is refused, not read short or past its
+    end."""
     path = tmp_path / "moving.csv"
     rng = np.random.default_rng(7)
     write_series_csv(path, {"t": np.arange(20_000) * 1e-3, "p": rng.standard_normal(20_000)}, ("t", "p"))
@@ -235,7 +237,7 @@ def test_series_csv_refuses_a_file_that_changes_while_it_is_read(tmp_path, monke
     block_cells = runner._block_cells
 
     def changing(block, width, path_, line):
-        if line == first_line:  # the half's first block, in whichever process reads it
+        if line <= first_line < line + block.count(b"\n"):  # the block holding the half's first line
             if change == "grow":
                 with open(path, "ab") as fh:
                     fh.write(b"0.0,0.0\n" * 10)
@@ -759,6 +761,32 @@ def test_series_csv_reads_the_same_bits_forked_and_in_turn(tmp_path, monkeypatch
     _assert_same_bits(back, columns)
     _assert_same_bits(without_fork(read_series_csv, path), columns)
     assert all(column.flags.c_contiguous and column.flags.owndata for column in back.values())
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-turn"])
+def test_series_csv_read_in_turn_parses_the_body_in_one_pass(tmp_path, monkeypatch, nothing_left, without_fork,
+                                                              fork):
+    """Read in turn (a short body, or no os.fork), one ``_read_rows`` call
+    covers the body; forked, this process parses the rows before the split."""
+    path = tmp_path / "bits.csv"
+    columns = _series_file(path)
+    data = path.read_bytes()
+    header, split = data.index(b"\n") + 1, _split(data)[0]
+    calls, read_rows = [], runner._read_rows
+
+    def recording(fd, start, stop, *args):
+        calls.append((start, stop))
+        return read_rows(fd, start, stop, *args)
+
+    monkeypatch.setattr(runner, "_read_rows", recording)
+    monkeypatch.setattr(runner, "_FORK_MIN_BYTES", 0 if fork else len(data))
+    _assert_same_bits(read_series_csv(path), columns)
+    whole = [(header, len(data)), (len(data), len(data))]  # the second call reads the empty tail
+    assert calls == ([(header, split)] if fork else whole)
+    if fork:
+        calls.clear()
+        _assert_same_bits(without_fork(read_series_csv, path), columns)
+        assert calls == whole
 
 
 @pytest.mark.parametrize("bad, fault", [
