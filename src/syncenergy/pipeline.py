@@ -13,11 +13,11 @@ The instantaneous frequencies can come either from finite differences
 (``estimator="fd"``) or from a phase-locked loop tracking each vector
 (``estimator="pll"``).  The PLL route carries loop transients near the
 start of the record; envelope terms use finite differences in both modes.
-Nothing couples v's and i's frequencies until the closed form, so where
-``os.fork`` exists and the grid is long enough, v's part runs in a forked
-child while the calling process runs i's: under ``fd`` v's complex frequency
-and envelope variance, written into :func:`shared_array` memory; under
-``pll`` v's GIL-bound loop.  The results are the same bits either way.
+Nothing couples v's and i's routes until the closed form, so where
+``os.fork`` exists and the grid is long enough, v's route (its complex
+frequency, PLL speed under ``pll``, and envelope variance) runs in a forked
+child that writes it into :func:`shared_array` memory, while the calling
+process runs i's.  The results are the same bits either way.
 :class:`ForkedCall` is the one helper that forks, here and in the runner.
 """
 
@@ -102,34 +102,27 @@ def analyze(
     -----
     On a grid of at least ``_FORK_MIN_FD_SAMPLES`` samples with
     ``estimator="fd"``, or ``_FORK_MIN_SAMPLES`` with ``estimator="pll"``,
-    v's part runs in a child made by ``os.fork`` beside all of i's: its
-    complex frequency and envelope variance, written into shared arrays,
-    or its PLL speeds, pickled into a pipe.  An exception raised there is
-    raised here with its type and message; a child that dies without a
-    result raises ``RuntimeError`` naming its exit status.  No child
-    process or file descriptor outlives the call.
+    v's route runs in a child made by ``os.fork`` beside all of i's, and
+    writes its complex frequency and envelope variance into shared arrays.
+    An exception raised there is raised here with its type and message; a
+    child that dies without a result raises ``RuntimeError`` naming its
+    exit status.  No child process or file descriptor outlives the call.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
     _require_same_grid(v.grid, i.grid, "analyze")
-    grid, pll = v.grid, estimator == "pll"
-    fork = grid.n >= (_FORK_MIN_SAMPLES if pll else _FORK_MIN_FD_SAMPLES) and hasattr(os, "fork")
-    out = [shared_array(grid.n) for _ in range(4)] if fork and not pll else None
-    v_call = (_pll_omega, v, pll_params) if pll else (_v_route, v, out)
+    grid, params = v.grid, pll_params if estimator == "pll" else None
+    fork = grid.n >= (_FORK_MIN_FD_SAMPLES if params is None else _FORK_MIN_SAMPLES) and hasattr(os, "fork")
+    out = [shared_array(grid.n) for _ in range(4)] if fork else None
     # the kernels run unchecked, and on a very fine grid their derivatives
     # overflow; the series handed out are checked once, below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with ForkedCall(*v_call, fork=fork) as v_part:
+        with ForkedCall(_route, v, params, out, fork=fork) as v_part:
             s = complex_power(v, i)
-            cf_i = complex_frequency(i)
-            var_i = conditional_variance(cf_i.magnitude, grid)
+            cf_i, var_i = _route(i, params, None)
             psi_numeric = se_numeric(s.d, s.q, grid)
-            if pll:  # v's loop is the child's part, v's envelope this process's
-                cf_v, var_v = _v_route(v, None)
-                cf_i.omega = _pll_omega(i, pll_params)
-                cf_v.omega = v_part.result()
-            else:  # forked, the child filled ``out`` and returned None
-                cf_v, var_v = v_part.result() or (CFSeries(grid, *out[:3]), out[3])
+            # forked, the child filled ``out`` and returned None
+            cf_v, var_v = v_part.result() or (CFSeries(grid, *out[:3]), out[3])
         se = se_from_cf(cf_v, cf_i, s, var_v, var_i)
         del out, var_v, var_i  # freed before the last kernel allocates
         normalized = normalized_se(se)
@@ -145,19 +138,18 @@ def analyze(
     return AnalysisResult(s, cf_v, cf_i, se, psi_numeric, normalized)
 
 
-def _v_route(v: ParkSeries, out: list | None):
-    """v's complex frequency and envelope variance, or with ``out`` (four
-    shared arrays) their rho, omega, magnitude and variance written there."""
-    cf = complex_frequency(v)
-    var = conditional_variance(cf.magnitude, v.grid)
+def _route(x: ParkSeries, params: PllParams | None, out: list | None):
+    """x's complex frequency (its omega from the PLL when ``params`` is given)
+    and envelope variance, or with ``out`` (four shared arrays) their rho,
+    omega, magnitude and variance written there."""
+    cf = complex_frequency(x)
+    var = conditional_variance(cf.magnitude, x.grid)
+    if params is not None:
+        cf.omega = pll_run(x, params)[1] - params.omega_o
     if out is None:
         return cf, var
     for dst, src in zip(out, (cf.rho, cf.omega, cf.magnitude, var)):
         dst[...] = src
-
-
-def _pll_omega(x: ParkSeries, params: PllParams) -> np.ndarray:
-    return pll_run(x, params)[1] - params.omega_o
 
 
 def _outcome(fn, args):

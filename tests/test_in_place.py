@@ -309,7 +309,7 @@ def _arrays(result):
 
 def test_kernels_never_write_their_inputs(monkeypatch):
     """Every kernel runs on read-only inputs and leaves them bitwise unchanged,
-    analyze(fd) forked as well as in turn."""
+    analyze forked as well as in turn under either estimator."""
     grid = TimeGrid(0.0, 1e-3, 4001)
     t = grid.times()
     env = 1.0 + 0.3 * np.sin(2.0 * t)
@@ -335,15 +335,15 @@ def test_kernels_never_write_their_inputs(monkeypatch):
     se_numeric(s.d, s.q, grid)
     assert _bytes(*handed) == kept
 
-    for estimator, fork_min in (("fd", None), ("fd", 0), ("pll", None)):
-        if fork_min is not None:
-            monkeypatch.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", fork_min)
-        result = analyze(v, i, estimator, PllParams())
-        held = _arrays(result)
-        kept = _freeze(*held)
-        classify_sync(result.se, ClassifierPolicy(disturbance_end=0.5))
-        identity_gap(result)
-        identity_gap(result, ((1.0, 1.5),))
-        normalized_se(result.se)
-        assert _bytes(*held) == kept
+    for estimator, break_even in (("fd", "_FORK_MIN_FD_SAMPLES"), ("pll", "_FORK_MIN_SAMPLES")):
+        for fork_min in (grid.n + 1, 0):  # in turn, then forked
+            monkeypatch.setattr(pipeline, break_even, fork_min)
+            result = analyze(v, i, estimator, PllParams())
+            held = _arrays(result)
+            kept = _freeze(*held)
+            classify_sync(result.se, ClassifierPolicy(disturbance_end=0.5))
+            identity_gap(result)
+            identity_gap(result, ((1.0, 1.5),))
+            normalized_se(result.se)
+            assert _bytes(*held) == kept
     assert _bytes(*inputs) == before

@@ -1,5 +1,7 @@
 """Joint analysis of a voltage/current pair and route agreement."""
 
+import dataclasses
+import mmap
 import os
 import signal
 import time
@@ -129,7 +131,8 @@ def _dropout_pairs(draw):
 @given(pair=_dropout_pairs())
 def test_forked_pll_gives_the_bytes_of_the_loops_run_in_turn(leaves_nothing, counting_forks, without_fork, pair):
     """The forked path, and with os.fork deleted (as on Windows) the loops
-    run in turn, give the bytes of direct pll_run calls."""
+    run in turn, give the bytes of direct pll_run calls.  Forked, v's route
+    comes back in shared memory; in turn and without os.fork nothing does."""
     v, i = pair
     with leaves_nothing():
         result, forks = counting_forks(analyze, v, i, estimator="pll")
@@ -137,7 +140,23 @@ def test_forked_pll_gives_the_bytes_of_the_loops_run_in_turn(leaves_nothing, cou
     params = PllParams()
     assert result.cf_v.omega.tobytes() == (pll_run(v, params)[1] - params.omega_o).tobytes()
     assert result.cf_i.omega.tobytes() == (pll_run(i, params)[1] - params.omega_o).tobytes()
-    assert _bytes(result) == _bytes(without_fork(analyze, v, i, estimator="pll"))
+    assert [_in_shared_memory(x) for x in _cf_arrays(result)] == [forks] * 3 + [False] * 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_FORK_MIN_SAMPLES", v.grid.n + 1)
+        in_turn = analyze(v, i, estimator="pll")
+    for other in (in_turn, without_fork(analyze, v, i, estimator="pll")):
+        assert _bytes(result) == _bytes(other)
+        assert not any(map(_in_shared_memory, _cf_arrays(other)))
+
+
+def _cf_arrays(result):
+    return (result.cf_v.rho, result.cf_v.omega, result.cf_v.magnitude,
+            result.cf_i.rho, result.cf_i.omega, result.cf_i.magnitude)
+
+
+def _in_shared_memory(x):
+    """Whether ``x`` views a pipeline.shared_array mapping."""
+    return isinstance(getattr(x.base, "obj", None), mmap.mmap)
 
 
 class _LoopError(Exception):
@@ -259,7 +278,7 @@ def test_forked_fd_analysis_gives_the_bits_of_the_analysis_in_turn(leaves_nothin
         mp.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", v.grid.n + 1)
         assert forked == _all_bytes(analyze(v, i))
         mp.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", cut)
-        with leaves_nothing():  # under pll only v's loop forks
+        with leaves_nothing():  # under pll v's route forks at its own break-even
             assert counting_forks(analyze, v, i, "pll")[1] == (v.grid.n >= pipeline._FORK_MIN_SAMPLES)
 
 
@@ -274,12 +293,14 @@ def test_fd_analysis_forks_from_its_break_even(monkeypatch, nothing_left, counti
     assert _all_bytes(result) == _all_bytes(analyze(v, i))
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_a_value_error_in_the_forked_v_route_reaches_the_caller_as_in_turn(monkeypatch, nothing_left,
-                                                                          load_bundled):
+                                                                          load_bundled, estimator):
     """Raised where v's envelope variance is computed, in the child or in turn:
     analyze raises it with its type and message, and execute_scenario maps
-    it to the same ConfigError."""
-    config = load_bundled("synth_dual_freq")
+    it to the same ConfigError, under either estimator."""
+    config = dataclasses.replace(load_bundled("synth_dual_freq"), estimator=estimator)
+    break_even = "_FORK_MIN_SAMPLES" if estimator == "pll" else "_FORK_MIN_FD_SAMPLES"
     v, _ = synthetic_signal(config.synthetic)
     v_mag, variance = np.hypot(v.d, v.q), pipeline.conditional_variance
 
@@ -293,10 +314,10 @@ def test_a_value_error_in_the_forked_v_route_reaches_the_caller_as_in_turn(monke
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     errors = []
     for cut, n_forks in ((0, 1), (config.grid.n + 1, 0)):
-        monkeypatch.setattr(pipeline, "_FORK_MIN_FD_SAMPLES", cut)
+        monkeypatch.setattr(pipeline, break_even, cut)
         forks.clear()
         with pytest.raises(ValueError) as caught:
-            analyze(*synthetic_signal(config.synthetic))
+            analyze(*synthetic_signal(config.synthetic), estimator)
         assert type(caught.value) is ValueError and str(caught.value) == "v's envelope is bad"
         with pytest.raises(ConfigError) as caught:
             execute_scenario(config)

@@ -5,7 +5,7 @@
 For each bundled document it runs, through ``syncenergy.cli.main``:
 
 - ``run`` with the fd and with the pll estimator (series CSV and summary);
-- ``verify`` (stdout);
+- ``verify`` with the fd and with the pll estimator, on each run document;
 - ``sweep --emit-series`` with both estimators (table, summary and the
   series of every value);
 - ``scenarios list`` once.
@@ -55,6 +55,7 @@ def write_outputs(root: Path) -> None:
             _run(argv, out, name)
         if command == "run":
             _run(["verify", name], root / "verify", name)
+            _run(["verify", name, "--estimator", "pll"], root / "verify_pll", name)
 
 
 def sha256(path: Path) -> str:
