@@ -39,10 +39,11 @@ ESTIMATORS = ("fd", "pll")
 
 # grids shorter than this run the two PLL loops in turn: the fork and the
 # child's exit cost more than the loop they hide.  Alternating in one
-# process (2 cores, Python 3.11, numpy 2.4), the forked analyze(pll) was
-# the faster in 15 of 80 pairs at 1 000 samples, 41 at 1 500, 56 at 3 000
-# and 76 at 5 000
-_FORK_MIN_SAMPLES = 1500
+# process per size (2 cores, Python 3.11, numpy 2.4), three rounds of 80
+# pairs found the forked analyze(pll) the faster in 26, 10 and 3 pairs at
+# 5 000 samples, 30, 45 and 43 at 7 500, 60, 61 and 55 at 10 000, 59, 62 and
+# 54 at 15 000, and 55, 68 and 69 at 20 000
+_FORK_MIN_SAMPLES = 10_000
 
 # fd grids shorter than this analyse v in turn: alternating in one process, the
 # forked analyze(fd) was the faster in 27 of 80 pairs at 90 000 samples and 69

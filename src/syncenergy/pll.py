@@ -2,26 +2,32 @@
 
 The loop tracks the phase of a voltage Park vector given in the frame
 rotating at the loop's nominal frequency omega_o.  Its parts are the
-classical SRF-PLL triple:
+classical SRF-PLL triple, updated once per sample k:
 
-    phase detector   e = Im(v e^{-j theta}) / max(|v|, EPS_MAG)
-    loop filter      dw = KP e + KI integral(e)
-    oscillator       d theta / dt = dw          (frame-relative)
+    phase detector   e_k = Im(v_k e^{-j theta_k}) / |v_k|
+    loop filter      dw_k = KP e_k + KI xi_k
+    oscillator       xi_{k+1} = xi_k + dt e_k,
+                     theta_{k+1} = theta_k + dt (KP e_k + KI xi_{k+1})
 
-so the absolute speed estimate is omega_hat = omega_o + dw.  Normalizing
-the detector by the voltage magnitude makes the loop gain independent of
-the operating level; samples with magnitude below EPS_MAG hold the
-detector at its previous output instead of dividing by noise.
+a semi-implicit Euler step of d theta/dt = KP e + KI xi, d xi/dt = e
+(frame-relative), so the absolute speed estimate is omega_hat =
+omega_o + dw.  Normalizing the detector by the voltage magnitude makes
+the loop gain independent of the operating level; samples with
+magnitude below EPS_MAG hold the detector at its previous output instead
+of dividing by noise.
 
-The linearized closed loop is s^2 + KP s + KI.  The constant gains
-KP = 10, KI = 20 place both poles on the negative real axis (about
--2.76 and -7.24 1/s): a non-ringing response that settles well within
-two seconds, whatever the scenario; only omega_o follows the machine.
-
-Integration is the classical fixed-step RK4 tableau, written out on the
-state (theta, integral of e): stages at t_k, t_k + dt/2 (twice) and
-t_k + dt.  The first reuses the detector output of sample k, and the
-others read the input interpolated linearly to their fraction of the step.
+Linearized, the closed loop is z^2 - (2 - KP dt - KI dt^2) z + (1 - KP dt),
+which approaches the continuous s^2 + KP s + KI to first order in dt.  The
+constant gains KP = 10, KI = 20 place the continuous poles on the negative
+real axis (about -2.76 and -7.24 1/s): a non-ringing response that settles
+well within two seconds, whatever the scenario; only omega_o follows the
+machine.  Both discrete roots stay inside the unit circle for
+dt < (sqrt(KP^2 + 4 KI) - KP) / KI = 0.1708 s, but the loop locks only while
+the root of larger modulus is positive, that is while 2 - KP dt - KI dt^2 > 0:
+dt < DT_MAX = (sqrt(KP^2 + 8 KI) - KP) / (2 KI) = 0.1531 s.  Past DT_MAX the
+dominant root is negative, the speed estimate alternates sign from sample
+to sample, and constant phasors read as not synchronized; :func:`pll_run`
+refuses such a step.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .signals import EPS_MAG, ParkSeries
 # proportional and integral loop gains
 KP = 10.0
 KI = 20.0
+# the step at and past which the discrete loop's dominant root is negative
+DT_MAX = (math.sqrt(KP * KP + 8.0 * KI) - KP) / (2.0 * KI)
 
 
 @dataclass(frozen=True)
@@ -59,52 +67,26 @@ def pll_run(v: ParkSeries, params: PllParams = PllParams()) -> tuple[np.ndarray,
     omega_hat : ndarray
         Absolute speed (rad/s): ``omega_o`` plus the loop-filter output at
         each sample.
+
+    Raises
+    ------
+    ValueError
+        If the grid's step is not below ``DT_MAX``.
     """
-    grid = v.grid
-    d, q = v.d.tolist(), v.q.tolist()
-    dt = grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
+    dt = v.grid.dt
+    if not dt < DT_MAX:
+        raise ValueError(f"the PLL's discrete loop cannot lock unless dt < {DT_MAX:.4f} s")
     kp, ki, omega_o = KP, KI, params.omega_o
     cos, sin, hypot = math.cos, math.sin, math.hypot
 
-    theta_hat, omega_hat = np.empty(grid.n), np.empty(grid.n)
+    theta_hat, omega_hat = np.empty(v.grid.n), np.empty(v.grid.n)
     theta, xi = 0.0, 0.0  # phase and integral of e
-    held = 0.0  # last valid detector output, for degenerate samples
-
-    # the detector e = Im(v e^{-j theta}) / |v| holds its last output where
-    # |v| < EPS_MAG; the derivative of (theta, xi) is (kp e + ki xi, e)
-    for k in range(grid.n - 1):
-        d0, q0, d1, q1 = d[k], q[k], d[k + 1], q[k + 1]
-        mag = hypot(d0, q0)
-        e = held = held if mag < EPS_MAG else (q0 * cos(theta) - d0 * sin(theta)) / mag
+    e = 0.0  # held where |v| < EPS_MAG
+    for k, (d, q) in enumerate(zip(v.d.tolist(), v.q.tolist())):
+        mag = hypot(d, q)
+        e = e if mag < EPS_MAG else (q * cos(theta) - d * sin(theta)) / mag
         theta_hat[k] = theta
         omega_hat[k] = omega_o + kp * e + ki * xi
-
-        # RK4 stages at t_k (sample k at theta: its detector output is e),
-        # t_k + dt/2 (twice) and t_k + dt, reading the input interpolated linearly
-        t_k = grid.t0 + k * dt
-        dd, dq = d1 - d0, q1 - q0
-        kt1 = kp * e + ki * xi
-        s = ((t_k + half) - t_k) / dt
-        vd, vq = d0 + s * dd, q0 + s * dq
-        mag = hypot(vd, vq)
-        th = theta + half * kt1
-        e2 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
-        kt2 = kp * e2 + ki * (xi + half * e)
-        th = theta + half * kt2
-        e3 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
-        kt3 = kp * e3 + ki * (xi + half * e2)
-        s = ((t_k + dt) - t_k) / dt
-        vd, vq = d0 + s * dd, q0 + s * dq
-        mag = hypot(vd, vq)
-        th = theta + dt * kt3
-        e4 = held = held if mag < EPS_MAG else (vq * cos(th) - vd * sin(th)) / mag
-        kt4 = kp * e4 + ki * (xi + dt * e3)
-        theta = theta + sixth * (kt1 + 2.0 * (kt2 + kt3) + kt4)
-        xi = xi + sixth * (e + 2.0 * (e2 + e3) + e4)
-
-    mag = hypot(d[-1], q[-1])
-    e = held if mag < EPS_MAG else (q[-1] * cos(theta) - d[-1] * sin(theta)) / mag
-    theta_hat[-1] = theta
-    omega_hat[-1] = omega_o + kp * e + ki * xi
+        xi += dt * e
+        theta += dt * (kp * e + ki * xi)
     return theta_hat, omega_hat

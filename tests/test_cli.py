@@ -116,6 +116,24 @@ def test_run_estimator_override_recorded(tone_file, tmp_path):
     assert summary["estimator"] == "pll"
 
 
+@pytest.mark.parametrize("dt, code", [("0.18", 2), ("0.16", 2), ("0.1", 0)])
+def test_pll_run_exits_2_at_grid_dt_past_the_step_bound(tmp_path, capsys, dt, code):
+    """Past pll.DT_MAX (0.1531 s) the loop cannot lock: constant phasors
+    would read as not synchronized, so the step is refused at grid.dt, also
+    below 0.1708 s, where the loop is still stable."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "synth_constant", "--estimator", "pll", "--dt", dt,
+                     "--out-dir", str(tmp_path), "--no-emit-series"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("config error at grid.dt: the PLL's discrete loop cannot lock unless dt < 0.1531 s")
+        assert err.count("\n") == 1 and f"dt={dt}" in err and out == ""
+        assert not list(tmp_path.iterdir())
+    else:
+        assert err == "" and out.startswith("synth_constant: Synchronized")
+
+
 def test_unknown_reference_exits_2(capsys):
     code = main(["run", "no_such_scenario"])
     assert code == 2

@@ -163,8 +163,10 @@ class _LoopError(Exception):
     pass
 
 
-def _pll_run_in_child(action):
-    """pll_run that first runs ``action`` when called in a child process."""
+def _pll_run_in_child(monkeypatch, action):
+    """pll_run that first runs ``action`` when called in a child process; the
+    break-even is patched so that analyze(pll) forks on GRID."""
+    monkeypatch.setattr(pipeline, "_FORK_MIN_SAMPLES", 0)
     parent = os.getpid()
 
     def run(x, params):
@@ -186,7 +188,7 @@ def _raise(exc):
                          ids=["builtin", "own-class", "config-error"])
 def test_an_exception_in_the_child_reaches_the_caller(monkeypatch, nothing_left, exc):
     v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
-    monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(_raise(exc)))
+    monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(monkeypatch, _raise(exc)))
     with pytest.raises(type(exc)) as caught:
         analyze(v, i, estimator="pll")
     assert type(caught.value) is type(exc)
@@ -228,7 +230,7 @@ def test_an_exception_that_cannot_cross_the_pipe_is_one_runtime_error(nothing_le
 def test_a_child_that_dies_gives_one_runtime_error_with_its_status(
         monkeypatch, nothing_left, action, status):
     v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
-    monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(action))
+    monkeypatch.setattr(pipeline, "pll_run", _pll_run_in_child(monkeypatch, action))
     with pytest.raises(RuntimeError, match=rf"without a result \(exit status {status}\)$"):
         analyze(v, i, estimator="pll")
 
@@ -237,6 +239,7 @@ def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch, nothi
     """The child would sleep a minute; the parent's error ends it at once."""
     v, i = _pair(template="dual_frequency", omega1=1.5, omega2=0.5)
     parent = os.getpid()
+    monkeypatch.setattr(pipeline, "_FORK_MIN_SAMPLES", 0)
 
     def run(x, params):
         if os.getpid() != parent:
@@ -293,37 +296,49 @@ def test_fd_analysis_forks_from_its_break_even(monkeypatch, nothing_left, counti
     assert _all_bytes(result) == _all_bytes(analyze(v, i))
 
 
-@pytest.mark.parametrize("estimator", ESTIMATORS)
-def test_a_value_error_in_the_forked_v_route_reaches_the_caller_as_in_turn(monkeypatch, nothing_left,
-                                                                          load_bundled, estimator):
-    """Raised where v's envelope variance is computed, in the child or in turn:
-    analyze raises it with its type and message, and execute_scenario maps
-    it to the same ConfigError, under either estimator."""
+@pytest.mark.parametrize("estimator, dt", [("fd", None), ("pll", None), ("pll", 0.5)],
+                         ids=["fd", "pll", "pll-past_the_step_bound"])
+def test_a_value_error_in_the_forked_v_route_reaches_the_caller_as_in_turn(monkeypatch, nothing_left, load_bundled,
+                                                                          without_fork, estimator, dt):
+    """Raised where v's envelope variance is computed or, at a step past
+    pll.DT_MAX, where each PLL loop starts, in the child, in turn or without
+    os.fork: analyze raises it with its type and message, and execute_scenario
+    maps it to the same ConfigError, under either estimator."""
     config = dataclasses.replace(load_bundled("synth_dual_freq"), estimator=estimator)
     break_even = "_FORK_MIN_SAMPLES" if estimator == "pll" else "_FORK_MIN_FD_SAMPLES"
-    v, _ = synthetic_signal(config.synthetic)
-    v_mag, variance = np.hypot(v.d, v.q), pipeline.conditional_variance
+    if dt is None:
+        message = "v's envelope is bad"
+        v, _ = synthetic_signal(config.synthetic)
+        v_mag, variance = np.hypot(v.d, v.q), pipeline.conditional_variance
 
-    def failing(a, grid):
-        if np.array_equal(a, v_mag):
-            raise ValueError("v's envelope is bad")
-        return variance(a, grid)
+        def failing(a, grid):
+            if np.array_equal(a, v_mag):
+                raise ValueError(message)
+            return variance(a, grid)
 
-    monkeypatch.setattr(pipeline, "conditional_variance", failing)
+        monkeypatch.setattr(pipeline, "conditional_variance", failing)
+    else:
+        message = "the PLL's discrete loop cannot lock unless dt < 0.1531 s"
+        grid = TimeGrid(0.0, dt, 11)
+        config = dataclasses.replace(config, grid=grid, synthetic=dataclasses.replace(config.synthetic, grid=grid))
     real_fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     errors = []
-    for cut, n_forks in ((0, 1), (config.grid.n + 1, 0)):
+    for cut, n_forks, call in ((0, 1, _call), (config.grid.n + 1, 0, _call), (0, 0, without_fork)):
         monkeypatch.setattr(pipeline, break_even, cut)
         forks.clear()
         with pytest.raises(ValueError) as caught:
-            analyze(*synthetic_signal(config.synthetic), estimator)
-        assert type(caught.value) is ValueError and str(caught.value) == "v's envelope is bad"
+            call(analyze, *synthetic_signal(config.synthetic), estimator)
+        assert type(caught.value) is ValueError and str(caught.value) == message
         with pytest.raises(ConfigError) as caught:
-            execute_scenario(config)
+            call(execute_scenario, config)
         errors.append((caught.value.path, caught.value.message))
         assert len(forks) == 2 * n_forks
-    assert errors[0] == errors[1] == ("grid.dt", f"v's envelope is bad when analysed at dt={config.grid.dt!r}")
+    assert errors == 3 * [("grid.dt", f"{message} when analysed at dt={config.grid.dt!r}")]
+
+
+def _call(fn, *args):
+    return fn(*args)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from syncenergy.pll import KI, KP, PllParams, pll_run
+from syncenergy.pll import DT_MAX, KI, KP, PllParams, pll_run
 from syncenergy.signals import ParkSeries, TimeGrid
 
 GRID = TimeGrid(0.0, 1e-3, 5001)
@@ -59,3 +59,31 @@ def test_degenerate_gap_holds_last_detector_output():
     assert np.isfinite(theta_hat).all()
     assert np.isfinite(omega_hat).all()
     assert theta_hat[-1] == pytest.approx(0.2, abs=1e-5)
+
+
+def test_step_bound_is_where_the_linearised_loops_dominant_root_turns_negative():
+    """DT_MAX, derived from KP and KI, is the dt at which the root of larger
+    modulus of z^2 - (2 - KP dt - KI dt^2) z + (1 - KP dt) turns from positive
+    to negative, below the dt at which a root leaves the unit circle;
+    pll_run refuses it and runs just below."""
+
+    def dominant_root(dt):
+        roots = np.roots([1.0, -(2.0 - KP * dt - KI * dt * dt), 1.0 - KP * dt])
+        return roots[np.argmax(abs(roots))]
+
+    lo, hi = 0.01, 2.0 / KP  # at hi the roots' product is -1 and their sum -KI dt^2 < 0
+    assert dominant_root(lo).real > 0.0 > dominant_root(hi).real
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dominant_root(mid).real > 0.0 else (lo, mid)
+    assert DT_MAX == pytest.approx(lo, rel=1e-9)
+    assert DT_MAX == pytest.approx(0.1531, abs=5e-5)
+    unstable = (np.sqrt(KP * KP + 4.0 * KI) - KP) / KI  # 0.1708 s, where a root reaches z = -1
+    assert abs(dominant_root(DT_MAX)) < 1.0 and abs(dominant_root(unstable)) == pytest.approx(1.0)
+    for dt, refused in ((DT_MAX, True), (0.5, True), (0.999 * DT_MAX, False)):
+        v = ParkSeries.from_complex(TimeGrid(0.0, dt, 11), np.ones(11, dtype=complex))
+        if refused:
+            with pytest.raises(ValueError, match="cannot lock"):
+                pll_run(v)
+        else:
+            assert np.isfinite(pll_run(v)[1]).all()

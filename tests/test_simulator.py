@@ -30,7 +30,7 @@ FAULT = FaultSchedule(1.0, 1.1)
 
 def rk4_step(f, t, y, dt):
     """Classical RK4 step of y' = f(t, y) on a tuple state: the reference
-    the inlined loops of ``smib_simulate`` and ``pll_run`` must reproduce."""
+    the inlined loop of ``smib_simulate`` must reproduce."""
     half = 0.5 * dt
     k1 = f(t, y)
     k2 = f(t + half, tuple(yi + half * ki for yi, ki in zip(y, k1)))
@@ -96,35 +96,19 @@ def reference_swing(params, fault, grid, delta_cap=DELTA_CAP):
 
 
 def reference_pll(v, params=PllParams()):
-    """(theta_hat, omega_hat) by rk4_step, the input interpolated linearly
-    to stage times and the detector held below EPS_MAG."""
-    d, q, dt = v.d, v.q, v.grid.dt
-    hold = [0.0]
-
-    def detector(vd, vq, theta):
-        mag = math.hypot(vd, vq)
-        if mag < EPS_MAG:
-            return hold[0]
-        hold[0] = (vq * math.cos(theta) - vd * math.sin(theta)) / mag
-        return hold[0]
-
+    """(theta_hat, omega_hat) of the discrete loop: one detector update per
+    sample, held below EPS_MAG, then xi and theta by a semi-implicit Euler step."""
+    dt = v.grid.dt
     theta_hat, omega_hat = np.empty(v.grid.n), np.empty(v.grid.n)
-    y = (0.0, 0.0)
-    for k in range(v.grid.n - 1):
-        e_now = detector(d[k], q[k], y[0])
-        theta_hat[k] = y[0]
-        omega_hat[k] = params.omega_o + KP * e_now + KI * y[1]
-        t_k = v.grid.t0 + k * dt
-
-        def deriv(t, state):
-            s = (t - t_k) / dt
-            e = detector(d[k] + s * (d[k + 1] - d[k]), q[k] + s * (q[k + 1] - q[k]), state[0])
-            return (KP * e + KI * state[1], e)
-
-        y = rk4_step(deriv, t_k, y, dt)
-    e_last = detector(d[-1], q[-1], y[0])
-    theta_hat[-1] = y[0]
-    omega_hat[-1] = params.omega_o + KP * e_last + KI * y[1]
+    theta, xi, e = 0.0, 0.0, 0.0
+    for k in range(v.grid.n):
+        mag = math.hypot(v.d[k], v.q[k])
+        if mag >= EPS_MAG:
+            e = (v.q[k] * math.cos(theta) - v.d[k] * math.sin(theta)) / mag
+        theta_hat[k] = theta
+        omega_hat[k] = params.omega_o + KP * e + KI * xi
+        xi = xi + dt * e
+        theta = theta + dt * (KP * e + KI * xi)
     return theta_hat, omega_hat
 
 
@@ -183,7 +167,7 @@ def _dropout():
 
 
 @pytest.mark.parametrize("make_v", [_rotating, _dropout], ids=["rotating", "dropout"])
-def test_pll_is_bitwise_the_rk4_reference(make_v):
+def test_pll_is_bitwise_the_discrete_reference(make_v):
     v = make_v()
     theta_hat, omega_hat = pll_run(v)
     theta_ref, omega_ref = reference_pll(v)
