@@ -5,9 +5,10 @@
     syncenergy verify <config|name>  compare the two SE routes at dt and dt/2
     syncenergy scenarios list        show the bundled scenario files
 
-Configs are YAML files; a bare name refers to a bundled scenario.  Exit
-codes: 0 success, 2 configuration or schema error or a config path or
-output directory the OS refuses, 3 verification bound exceeded.
+Configs are YAML files; a name that is not a file refers to a bundled
+scenario, so a directory never hides one.  Exit codes: 0 success, 2
+configuration or schema error or a config path or output directory the OS
+refuses, 3 verification bound exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .config import ConfigError, load_document, parse_scenario, parse_sweep
@@ -24,47 +24,34 @@ from .runner import run_scenario, run_sweep, verify_scenario
 
 
 def bundled_scenarios() -> dict:
-    """Name -> traversable path of every bundled YAML document."""
-    root = resources.files("syncenergy").joinpath("scenarios")
-    return {entry.name[: -len(".yaml")]: entry for entry in sorted(
-        (e for e in root.iterdir() if e.name.endswith(".yaml")), key=lambda e: e.name
-    )}
+    """Name -> path of every bundled YAML document, sorted by name."""
+    return {path.stem: path for path in sorted(Path(__file__).with_name("scenarios").glob("*.yaml"))}
 
 
-def _load_doc(ref: str) -> dict:
-    path = Path(ref)
-    if path.exists():
-        return load_document(path)
-    name = ref[: -len(".yaml")] if ref.endswith(".yaml") else ref
-    bundled = bundled_scenarios()
-    if name in bundled:
-        with resources.as_file(bundled[name]) as concrete:
-            return load_document(concrete)
-    raise ConfigError("", f"{ref!r} is neither a file nor a bundled scenario")
-
-
-def _apply_overrides(doc: dict, args) -> dict:
+def _document(args, sweep: bool) -> dict:
+    """``args.config``'s document with the overrides written in; the other kind is refused."""
+    path = Path(args.config)
+    if not path.is_file():
+        path = bundled_scenarios().get(args.config.removesuffix(".yaml"), path)
+    if not path.exists():
+        raise ConfigError("", f"{args.config!r} is neither a file nor a bundled scenario")
+    doc = load_document(path)
     if not isinstance(doc, dict):
         raise ConfigError("", "expected a YAML mapping at top level")
     target = doc.get("base") if "sweep" in doc else doc
-    if not isinstance(target, dict):
-        return doc  # malformed; let the parser point at the real problem
-    if args.dt is not None:
-        grid = target.setdefault("grid", {})
-        if isinstance(grid, dict):
-            grid["dt"] = args.dt
-    if args.estimator is not None:
-        analysis = target.setdefault("analysis", {})
-        if isinstance(analysis, dict):
-            analysis["estimator"] = args.estimator
+    for section, key, value in (("grid", "dt", args.dt), ("analysis", "estimator", args.estimator)):
+        # a section that is no mapping is left for the parser to name
+        if value is not None and isinstance(target, dict) and isinstance(target.setdefault(section, {}), dict):
+            target[section][key] = value
+    if "sweep" in doc and not sweep:
+        raise ConfigError("", "this is a sweep document; use the sweep command")
+    if sweep and "sweep" not in doc:
+        raise ConfigError("", "this is a scenario document; use the run command")
     return doc
 
 
 def _cmd_run(args) -> int:
-    doc = _apply_overrides(_load_doc(args.config), args)
-    if "sweep" in doc:
-        raise ConfigError("", "this is a sweep document; use the sweep command")
-    summary = run_scenario(parse_scenario(doc), args.out_dir, args.emit_series)
+    summary = run_scenario(parse_scenario(_document(args, sweep=False)), args.out_dir, args.emit_series)
     print(
         f"{summary['name']}: {summary['status']}"
         + (f", settle {summary['settle_time']:.3f} s" if summary["settle_time"] is not None else "")
@@ -74,10 +61,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _apply_overrides(_load_doc(args.config), args)
-    if "sweep" not in doc:
-        raise ConfigError("", "this is a scenario document; use the run command")
-    summary = run_sweep(parse_sweep(doc), args.out_dir, args.emit_series)
+    summary = run_sweep(parse_sweep(_document(args, sweep=True)), args.out_dir, args.emit_series)
     for row in summary["rows"]:
         label = row["status"] if row["status"] else f"error: {row['error']}"
         print(f"{summary['axis']} = {row['value']:g}: {label}")
@@ -85,10 +69,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = _apply_overrides(_load_doc(args.config), args)
-    if "sweep" in doc:
-        raise ConfigError("", "this is a sweep document; use the sweep command")
-    config = parse_scenario(doc)
+    config = parse_scenario(_document(args, sweep=False))
     report = verify_scenario(config)
     print(f"{config.name}: SE route agreement ({config.estimator} estimator)")
     print(f"  dt = {config.grid.dt:g}: rel gap {report.coarse.rel_gap:.3e} "
@@ -105,20 +86,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    for name, entry in bundled_scenarios().items():
-        try:
-            with resources.as_file(entry) as concrete:
-                doc = load_document(concrete)
-        except ConfigError:
-            doc = None
-        kind = "sweep" if isinstance(doc, dict) and "sweep" in doc else "scenario"
-        desc = ""
-        if isinstance(doc, dict):
-            base = doc.get("base", doc)
-            if isinstance(base, dict):
-                desc = str(base.get("description", "")).strip().splitlines()[0] if base.get("description") else ""
-        print(f"{name:28s} [{kind}] {desc}")
+    # every bundled document is a mapping with a description (tests/test_cli.py)
+    for name, path in bundled_scenarios().items():
+        doc = load_document(path)
+        description = doc.get("base", doc)["description"].strip().splitlines()[0]
+        print(f"{name:28s} [{'sweep' if 'sweep' in doc else 'scenario'}] {description}")
     return 0
+
+
+# name, help, handler, --emit-series default (None: no output flags)
+_COMMANDS = (
+    ("run", "execute one scenario", _cmd_run, True),
+    ("sweep", "scan one numeric axis over a base scenario", _cmd_sweep, False),
+    ("verify", "check agreement of the two SE routes", _cmd_verify, None),
+)
 
 
 def main(argv=None) -> int:
@@ -127,35 +108,20 @@ def main(argv=None) -> int:
         description="Synchronization energy analysis of Park-vector time series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p) -> None:
+    for name, help_text, handler, emit_default in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="scenario YAML path or bundled scenario name")
         p.add_argument("--dt", type=float, default=None, help="override grid.dt")
         p.add_argument("--estimator", choices=ESTIMATORS, default=None,
                        help="override analysis.estimator")
-
-    def outputs(p, emit_default: bool) -> None:
-        p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument("--emit-series", action=argparse.BooleanOptionalAction,
-                       default=emit_default, help="write per-run series CSV files")
-
-    p_run = sub.add_parser("run", help="execute one scenario")
-    common(p_run)
-    outputs(p_run, emit_default=True)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="scan one numeric axis over a base scenario")
-    common(p_sweep)
-    outputs(p_sweep, emit_default=False)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="check agreement of the two SE routes")
-    common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_scen = sub.add_parser("scenarios", help="inspect bundled scenarios")
-    p_scen.add_argument("action", choices=("list",))
-    p_scen.set_defaults(func=_cmd_scenarios)
+        if emit_default is not None:
+            p.add_argument("--out-dir", default=".", help="directory for output files")
+            p.add_argument("--emit-series", action=argparse.BooleanOptionalAction,
+                           default=emit_default, help="write per-run series CSV files")
+        p.set_defaults(func=handler)
+    p = sub.add_parser("scenarios", help="inspect bundled scenarios")
+    p.add_argument("action", choices=("list",))
+    p.set_defaults(func=_cmd_scenarios)
 
     args = parser.parse_args(argv)
     try:

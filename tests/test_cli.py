@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from test_config import BUNDLED_DOCS, EDITS, _damage, _leaves
 
 from syncenergy.cli import bundled_scenarios, main
+from syncenergy.config import load_document
 
 TONE_YAML = """
 name: tone
@@ -194,6 +195,24 @@ def test_cli_exits_2_naming_a_path_the_os_refuses(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
 
+@pytest.mark.parametrize("command, name, first_line, summary", [
+    ("run", "synth_constant", "synth_constant: Synchronized", "synth_constant.summary.json"),
+    ("sweep", "sweep_distance", "system.x_line_scale = 1: ", "sweep_distance.sweep.summary.json"),
+], ids=["run", "sweep"])
+def test_an_out_dir_named_after_a_bundled_scenario_does_not_hide_it(tmp_path, monkeypatch, capsys,
+                                                                     command, name, first_line, summary):
+    """The first run makes the directory ``name``; a path that is not a file
+    never hides a bundled name, so the second run reads the same document."""
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for _ in range(2):
+        assert main([command, name, "--out-dir", name, "--dt", "0.01"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert outputs[0].out.startswith(first_line)
+    assert (tmp_path / name / summary).is_file()
+
+
 def test_run_refuses_a_name_that_leaves_the_out_dir(tmp_path, capsys):
     doc = tmp_path / "work" / "escape.yaml"
     doc.parent.mkdir()
@@ -360,6 +379,18 @@ def test_scenarios_list_shows_kind_tags(capsys):
     out = capsys.readouterr().out
     assert "smib_h5_d5" in out
     assert "[sweep]" in out and "[scenario]" in out
+    # every bundled document is a mapping with a description, which the
+    # listing reads without a fallback: one line each, ending in its first line
+    lines = out.splitlines()
+    assert len(lines) == len(bundled_scenarios())
+    for line, (name, path) in zip(lines, bundled_scenarios().items()):
+        doc = load_document(path)
+        assert isinstance(doc, dict)
+        description = doc.get("base", doc).get("description")
+        assert isinstance(description, str) and description.strip(), name
+        kind = "sweep" if "sweep" in doc else "scenario"
+        assert line.startswith(f"{name} ") and f" [{kind}] " in line
+        assert line.endswith(description.strip().splitlines()[0])
 
 
 def test_missing_subcommand_is_usage_error(capsys):

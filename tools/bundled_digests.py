@@ -23,7 +23,6 @@ import contextlib
 import hashlib
 import io
 import sys
-from importlib import resources
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -46,9 +45,8 @@ def _run(argv: list, out: Path, stem: str) -> None:
 def write_outputs(root: Path) -> None:
     """Run every command of the module docstring, writing under ``root``."""
     _run(["scenarios", "list"], root / "scenarios", "list")
-    for name, entry in bundled_scenarios().items():
-        with resources.as_file(entry) as path:
-            command = "sweep" if "sweep" in load_document(path) else "run"
+    for name, path in bundled_scenarios().items():
+        command = "sweep" if "sweep" in load_document(path) else "run"
         for estimator in ("fd", "pll"):
             out = root / f"{command}_{estimator}"
             argv = [command, name, "--estimator", estimator, "--emit-series", "--out-dir", str(out)]
