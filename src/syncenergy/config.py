@@ -16,9 +16,13 @@ and a sweep wraps a scenario under ``base:`` plus a ``sweep:`` section
 naming one numeric field (dotted path) and the values to scan.
 
 Validation is strict: unknown keys anywhere are rejected, and every
-error carries the dotted path of the offending field so callers can
-report ``config error at system.H: ...``.  The model sections read the
-fields of their dataclasses (SmibParams, SyntheticSpec, FaultSchedule,
+error carries a dotted path so callers can report it.  The field
+readers, ``_number`` and ``_string``, own the rules of a single field:
+its type, finiteness, positivity and choices, reported at the field
+(``config error at grid.dt: must be positive``).  A model's own checks
+are reported at its section (``config error at system: inertia H must
+be positive, got -1.0``).  The model sections read the fields of their
+dataclasses (SmibParams, SyntheticSpec, FaultSchedule,
 ClassifierPolicy), and an absent optional key takes the dataclass's
 own default, so each default lives only on its dataclass.
 """
@@ -107,7 +111,7 @@ def _reject_unknown(node: dict, path: str) -> None:
         raise ConfigError(_join(path, key), "unknown key")
 
 
-def _number(node: dict, key: str, path: str, default=None, required: bool = False) -> float:
+def _number(node: dict, key: str, path: str, default=None, required: bool = False, positive: bool = False) -> float:
     if key not in node:
         if required:
             raise ConfigError(_join(path, key), "required field missing")
@@ -117,10 +121,12 @@ def _number(node: dict, key: str, path: str, default=None, required: bool = Fals
         raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # compares ints exactly, where float() overflows
         raise ConfigError(_join(path, key), "must be finite")
+    if positive and not value > 0:
+        raise ConfigError(_join(path, key), "must be positive")
     return float(value)
 
 
-def _string(node: dict, key: str, path: str, default=None, required: bool = False) -> str:
+def _string(node: dict, key: str, path: str, default=None, required: bool = False, choices: tuple = ()) -> str:
     if key not in node:
         if required:
             raise ConfigError(_join(path, key), "required field missing")
@@ -128,12 +134,8 @@ def _string(node: dict, key: str, path: str, default=None, required: bool = Fals
     value = node.pop(key)
     if not isinstance(value, str):
         raise ConfigError(_join(path, key), f"expected a string, got {value!r}")
-    return value
-
-
-def _choice(value: str, allowed: tuple, path: str) -> str:
-    if value not in allowed:
-        raise ConfigError(path, f"expected one of {', '.join(allowed)}, got {value!r}")
+    if choices and value not in choices:
+        raise ConfigError(_join(path, key), f"expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -191,13 +193,9 @@ class SweepConfig:
 
 def _parse_grid(node, path: str) -> TimeGrid:
     node = _mapping(node, path)
-    t_end = _number(node, "t_end", path, required=True)
-    dt = _number(node, "dt", path, required=True)
+    t_end = _number(node, "t_end", path, required=True, positive=True)
+    dt = _number(node, "dt", path, required=True, positive=True)
     _reject_unknown(node, path)
-    if dt <= 0.0:
-        raise ConfigError(_join(path, "dt"), "must be positive")
-    if t_end <= 0.0:
-        raise ConfigError(_join(path, "t_end"), "must be positive")
     steps = t_end / dt
     if not math.isfinite(steps) or round(steps) + 1 > MAX_SAMPLES:
         raise ConfigError(_join(path, "dt"), f"t_end/dt gives {steps + 1:.10g} samples; at most {MAX_SAMPLES}")
@@ -208,13 +206,11 @@ def _parse_grid(node, path: str) -> TimeGrid:
 
 
 def _parse_smib(node: dict, path: str) -> SmibParams:
-    scale = _number(node, "x_line_scale", path, default=1.0)
-    if scale <= 0.0:
-        raise ConfigError(_join(path, "x_line_scale"), "must be positive")
+    scale = _number(node, "x_line_scale", path, default=1.0, positive=True)
     values = _read_fields(SmibParams, node, path, skip=("omega_n",))
     values["x_line_prefault"] *= scale
     values["x_line_postfault"] *= scale
-    f_nominal = _number(node, "f_nominal", path)
+    f_nominal = _number(node, "f_nominal", path, positive=True)
     if f_nominal is not None:
         values["omega_n"] = 2.0 * math.pi * f_nominal
         if values["omega_n"] == math.inf:
@@ -237,6 +233,8 @@ def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
             raise ConfigError(
                 _join(path, key), f"{omega!r} rad/s aliases at dt={grid.dt!r}: |omega| dt must stay below pi"
             )
+    if template == "amplitude_modulated" and not math.isfinite(spec.v_mag * (1.0 + spec.mod_depth)):
+        raise ConfigError(_join(path, "v_mag"), f"v_mag (1 + mod_depth) is past the float range at {spec.v_mag!r}")
     if template == "variance_cancelling":
         rate, t_end = spec.envelope_rate, grid.t_end
         exponent = rate * t_end * t_end / 2.0
@@ -309,7 +307,7 @@ def parse_scenario(doc) -> ScenarioConfig:
     if not system:
         raise ConfigError("system", "required section missing")
     grid = _parse_grid(top.pop("grid", None), "grid")
-    kind = _choice(_string(system, "kind", "system", required=True), ("smib", "synthetic"), "system.kind")
+    kind = _string(system, "kind", "system", required=True, choices=("smib", "synthetic"))
 
     smib = fault = synthetic = None
     if kind == "smib":
@@ -322,11 +320,8 @@ def parse_scenario(doc) -> ScenarioConfig:
             raise ConfigError("fault", "synthetic scenarios take no fault section")
 
     analysis = _mapping(top.pop("analysis", None), "analysis")
-    estimator = _string(analysis, "estimator", "analysis", default=ScenarioConfig.estimator)
-    _choice(estimator, ESTIMATORS, "analysis.estimator")
-    max_gap = _number(analysis, "max_identity_gap", "analysis", default=ScenarioConfig.max_identity_gap)
-    if max_gap <= 0.0:
-        raise ConfigError("analysis.max_identity_gap", "must be positive")
+    estimator = _string(analysis, "estimator", "analysis", default=ScenarioConfig.estimator, choices=ESTIMATORS)
+    max_gap = _number(analysis, "max_identity_gap", "analysis", default=ScenarioConfig.max_identity_gap, positive=True)
     disturbance_default = fault.t_clear if fault is not None else None
     policy = _parse_policy(analysis.pop("classifier", None), "analysis.classifier", disturbance_default)
     _reject_unknown(analysis, "analysis")

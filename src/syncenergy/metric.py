@@ -201,7 +201,7 @@ def normalized_se(se: SESeries) -> np.ndarray:
     return out
 
 
-def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
+def classify_sync(se: SESeries, policy: ClassifierPolicy, diverged: bool = False) -> SyncVerdict:
     """Classify an SE series as synchronized, bounded, or diverging.
 
     The assessed window starts ``policy.guard`` after
@@ -209,6 +209,12 @@ def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
     Within it, with ``peak`` the maximum of |psi| and ``early`` the
     maximum over the first ``tail_window`` seconds:
 
+    * LOSS_OF_SYNCHRONISM if ``diverged``: the simulator's rotor-angle
+      cap fired and the rotor ran away.  A record truncated this early
+      grows polynomially, too slowly for the window-ratio tests below,
+      so the simulator's own divergence signal decides; the peak and
+      tail mean are still those measured (NaN when the window is too
+      short);
     * LOSS_OF_SYNCHRONISM if |psi| exceeds ``divergence_cap * early``
       anywhere, or the trailing-window peak exceeds
       ``growth_factor * early`` with the series maximum inside the
@@ -218,7 +224,7 @@ def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
       which that bound holds through the end of the record;
     * BOUNDED_NOT_SYNCHRONIZED otherwise;
     * INDETERMINATE if the assessed window is shorter than
-      ``tail_window``.
+      ``tail_window`` and the run did not diverge.
     """
     times = se.grid.times()
     mask = se.valid & se.interior_mask()
@@ -226,20 +232,21 @@ def classify_sync(se: SESeries, policy: ClassifierPolicy) -> SyncVerdict:
         mask &= times >= policy.disturbance_end + policy.guard_width(se.grid.dt)
     t = times[mask]
     if t.size < 2 or t[-1] - t[0] < policy.tail_window:
-        return SyncVerdict(SyncStatus.INDETERMINATE, None, float("nan"), float("nan"))
+        status = SyncStatus.LOSS_OF_SYNCHRONISM if diverged else SyncStatus.INDETERMINATE
+        return SyncVerdict(status, None, float("nan"), float("nan"))
     mag = se.psi[mask]
     np.abs(mag, out=mag)
 
     tail = mag[t >= t[-1] - policy.tail_window]
     tail_mean = float(np.mean(tail))
     peak = float(np.max(mag))
-    if peak == 0.0:
+    if peak == 0.0 and not diverged:
         return SyncVerdict(SyncStatus.SYNCHRONIZED, float(t[0]), 0.0, tail_mean)
 
     early = float(np.max(mag[t <= t[0] + policy.tail_window]))
     tail_peak = float(np.max(tail))
     still_growing = t[int(np.argmax(mag))] > t[-1] - policy.tail_window
-    if peak >= policy.divergence_cap * early or (
+    if diverged or peak >= policy.divergence_cap * early or (
         tail_peak >= policy.growth_factor * early and still_growing
     ):
         return SyncVerdict(SyncStatus.LOSS_OF_SYNCHRONISM, None, peak, tail_mean)

@@ -31,7 +31,7 @@ import numpy as np
 import orjson
 
 from .config import CSV_COLUMNS, MAX_SAMPLES, ConfigError, ScenarioConfig, SweepConfig, apply_axis, parse_scenario
-from .metric import SyncStatus, SyncVerdict, classify_sync
+from .metric import SyncVerdict, classify_sync
 from .pipeline import AnalysisResult, ForkedCall, IdentityReport, analyze, identity_gap, shared_array
 from .simulator import smib_simulate, synthetic_signal
 from .signals import TimeGrid
@@ -135,15 +135,7 @@ def execute_scenario(config: ScenarioConfig, simulation: ForkedCall | None = Non
             ) from exc
         # ... or derivatives overflow, or the record is too short
         raise ConfigError("grid.dt", f"{exc} when analysed at dt={grid.dt!r}") from exc
-    verdict = classify_sync(analysis.se, config.policy)
-    if diverged:
-        # the angle cap fired: the rotor ran away.  A record truncated
-        # this early grows polynomially, too slowly for the window-ratio
-        # tests of the SE-only classifier, so the simulator's own
-        # divergence signal decides.
-        verdict = SyncVerdict(
-            SyncStatus.LOSS_OF_SYNCHRONISM, None, verdict.peak_psi, verdict.tail_mean_psi
-        )
+    verdict = classify_sync(analysis.se, config.policy, diverged)
     identity = identity_gap(analysis, _switch_windows(config, grid.dt))
 
     columns = {

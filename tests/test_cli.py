@@ -161,8 +161,10 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
         # PyYAML marks no line for a reader error; its text is kept, on one line
         ("a: 1\x00\n", "config error: not valid YAML: unacceptable character #x0000: special "
                        'characters are not allowed in "<unicode string>", position 4'),
+        # valid YAML, but not a mapping
+        ("- a\n- b\n", "config error: expected a YAML mapping at top level"),
     ],
-    ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark"],
+    ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark", "list-at-top-level"],
 )
 def test_yaml_syntax_error_exits_2_on_one_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.yaml"
@@ -354,6 +356,17 @@ def test_verify_prints_no_nan_order_when_both_gaps_are_infinite(capsys):
     assert "nan" not in out
 
 
+def test_verify_prints_no_order_when_both_gaps_are_zero(capsys):
+    """Under fd both routes of a constant scenario are exactly 0: the gaps are
+    0 at dt and dt/2, no order exists, and the check passes."""
+    assert main(["verify", "synth_constant"]) == 0
+    out = capsys.readouterr().out
+    assert "  dt = 0.001: rel gap 0.000e+00 over " in out
+    assert "  dt = 0.0005: rel gap 0.000e+00\n" in out
+    assert "  observed convergence order n/a (gap at machine zero)\n" in out
+    assert "PASS" in out
+
+
 def test_verify_unmeetable_bound_exits_3(tmp_path, capsys):
     path = tmp_path / "tight.yaml"
     path.write_text(TIGHT_YAML, encoding="utf-8")
@@ -447,6 +460,10 @@ def test_run_exits_2_at_system_when_the_amplitudes_overflow_the_se_scale(tmp_pat
          edits=[(_leaf("synth_variance_cancel.yaml", "system", "v_mag"), 1.0e308),
                 (_leaf("synth_variance_cancel.yaml", "system", "envelope_rate"), 7.0)])
 @example(name="smib_x3.yaml", edits=[(_leaf("smib_x3.yaml", "system", "E"), 1.0e308)])
+# a voltage envelope v_mag (1 + mod_depth) past the float range
+@example(name="synth_limit_cycle.yaml",
+         edits=[(_leaf("synth_limit_cycle.yaml", "system", "v_mag"), 1.6e308),
+                (_leaf("synth_limit_cycle.yaml", "system", "mod_depth"), 0.9)])
 # sweep errors: a defect in the base, an empty axis, an invalid first value
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "base", "system", "D"), {"dt": 1})])
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "axis"), "")])

@@ -174,6 +174,10 @@ def test_classifier_thresholds_are_configurable():
         ("grid", False, "at grid: expected a mapping, got bool"),
         # 2 pi f_nominal overflows: refused at the field, not by the PLL's omega_o check
         ("system.f_nominal", 1.0e308, r"system.f_nominal: 2 pi f_nominal is past the float range at 1e\+308"),
+        # refused at the field the document holds, not at the omega_n it derives
+        ("system.f_nominal", -60.0, "at system.f_nominal: must be positive"),
+        ("system.f_nominal", 0.0, "at system.f_nominal: must be positive"),
+        ("system", None, "at system: required section missing"),
     ],
 )
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
@@ -222,6 +226,9 @@ def test_longest_name_parses():
         # the current envelope itself, where rate + rate^2 t^2 < 1
         ({"template": "variance_cancelling", "envelope_rate": 0.1, "i_mag": 1.7e308}, None,
          "system.envelope_rate", "current envelope i_mag e\\^\\(rate t\\^2/2\\) or its second derivative"),
+        # the amplitude_modulated voltage envelope peaks at v_mag (1 + mod_depth)
+        ({"template": "amplitude_modulated", "mod_depth": 0.9, "mod_freq": 3.0, "v_mag": 1.6e308}, None,
+         "system.v_mag", r"v_mag \(1 \+ mod_depth\) is past the float range at 1\.6e\+308"),
     ],
 )
 def test_synthetic_template_limits_carry_dotted_paths(system, grid, path, fragment):
@@ -362,6 +369,15 @@ def test_sweep_rejects_an_empty_axis_segment(axis):
     with pytest.raises(ConfigError, match="expected a dotted path of field names") as info:
         parse_sweep(doc)
     assert info.value.path == "sweep.axis"
+
+
+@pytest.mark.parametrize("section", ["sweep", "base"])
+def test_sweep_refuses_a_missing_section_at_its_name(section):
+    doc = _sweep_doc([5.0])
+    del doc[section]
+    with pytest.raises(ConfigError, match=f"at {section}: required section missing") as info:
+        parse_sweep(doc)
+    assert info.value.path == section
 
 
 def test_sweep_takes_an_invalid_first_value_as_a_row():

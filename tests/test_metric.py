@@ -219,6 +219,21 @@ def test_classifier_skips_invalid_samples():
     assert verdict.status is SyncStatus.SYNCHRONIZED
 
 
+@pytest.mark.parametrize("psi, grid", [
+    (np.exp(-LONG_T), LONG_GRID),  # synchronizes without the cap
+    (1.0 + 0.5 * np.sin(2.0 * LONG_T), LONG_GRID),  # bounded without the cap
+    (np.zeros(LONG_GRID.n), LONG_GRID),  # all zero: peak 0.0
+    (np.ones(501), TimeGrid(0.0, 1e-3, 501)),  # window too short: NaN peak and tail mean
+], ids=["decaying", "oscillating", "all_zero", "short_window"])
+def test_classifier_angle_cap_is_loss_with_the_measured_peak(psi, grid):
+    """A run whose rotor angle hit the simulator's cap is LossOfSynchronism
+    whatever the SE shows, and keeps the peak and tail mean measured."""
+    plain = classify_sync(_se_of(psi, grid), ClassifierPolicy())
+    capped = classify_sync(_se_of(psi, grid), ClassifierPolicy(), diverged=True)
+    assert capped.status is SyncStatus.LOSS_OF_SYNCHRONISM and capped.settle_time is None
+    np.testing.assert_array_equal([capped.peak_psi, capped.tail_mean_psi], [plain.peak_psi, plain.tail_mean_psi])
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_classifier_is_scale_free(scale):

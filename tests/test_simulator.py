@@ -187,6 +187,10 @@ def test_params_validation():
     with pytest.raises(ValueError, match="x_line_fault"):
         SmibParams(H=5.0, D=0.0, x_gen=0.3, x_line_prefault=0.2,
                    x_line_fault=-1.0, x_line_postfault=0.2)
+    # no document reaches this: config refuses f_nominal at its own field
+    with pytest.raises(ValueError, match="omega_n must be positive"):
+        SmibParams(H=5.0, D=0.0, x_gen=0.3, x_line_prefault=0.2,
+                   x_line_fault=1.0, x_line_postfault=0.2, omega_n=0.0)
 
 
 def test_x_total_per_interval():
