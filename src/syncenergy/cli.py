@@ -29,7 +29,10 @@ def bundled_scenarios() -> dict:
 
 
 def _document(args, sweep: bool) -> dict:
-    """``args.config``'s document with the overrides written in; the other kind is refused."""
+    """``args.config``'s document with the overrides written in; the other kind is refused.
+
+    A document that is not a mapping is returned as it is, for the parser to name its type.
+    """
     path = Path(args.config)
     if not path.is_file():
         path = bundled_scenarios().get(args.config.removesuffix(".yaml"), path)
@@ -37,7 +40,7 @@ def _document(args, sweep: bool) -> dict:
         raise ConfigError("", f"{args.config!r} is neither a file nor a bundled scenario")
     doc = load_document(path)
     if not isinstance(doc, dict):
-        raise ConfigError("", "expected a YAML mapping at top level")
+        return doc
     target = doc.get("base") if "sweep" in doc else doc
     for section, key, value in (("grid", "dt", args.dt), ("analysis", "estimator", args.estimator)):
         # a section that is no mapping is left for the parser to name

@@ -97,12 +97,18 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _mapping(node, path: str) -> dict:
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
+def _got(value) -> str:
+    """A refused value as its refusal names it: a list or mapping with entries by its type, else its repr."""
+    return type(value).__name__ if isinstance(value, (list, dict)) and value else repr(value)
+
+
+def _mapping(node, path: str, required: bool = False) -> dict:
+    """A copy of section ``node`` to pop fields from; an absent section is empty."""
+    if node is not None and not isinstance(node, dict):
         raise ConfigError(path, f"expected a mapping, got {type(node).__name__}")
-    return dict(node)
+    if required and not node:
+        raise ConfigError(path, "required section missing")
+    return dict(node or {})
 
 
 def _reject_unknown(node: dict, path: str) -> None:
@@ -111,31 +117,39 @@ def _reject_unknown(node: dict, path: str) -> None:
         raise ConfigError(_join(path, key), "unknown key")
 
 
-def _number(node: dict, key: str, path: str, default=None, required: bool = False, positive: bool = False) -> float:
+def _field(node: dict, key: str, path: str, read, default=None, required: bool = False, **rule):
+    """Pop ``key`` from ``node`` and check it with ``read(value, path.key, **rule)``."""
+    path = _join(path, key)
     if key not in node:
         if required:
-            raise ConfigError(_join(path, key), "required field missing")
+            raise ConfigError(path, "required field missing")
         return default
-    value = node.pop(key)
+    return read(node.pop(key), path, **rule)
+
+
+def _list(node: dict, key: str, path: str, read, **rule) -> list:
+    """Pop the non-empty list ``key`` from ``node`` and check each entry with ``read`` at ``path.key[k]``."""
+    path, values = _join(path, key), node.pop(key, None)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(path, f"expected a non-empty list, got {_got(values)}")
+    return [read(value, f"{path}[{k}]", **rule) for k, value in enumerate(values)]
+
+
+def _number(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
+        raise ConfigError(path, f"expected a number, got {_got(value)}")
     if not abs(value) <= sys.float_info.max:  # compares ints exactly, where float() overflows
-        raise ConfigError(_join(path, key), "must be finite")
+        raise ConfigError(path, "must be finite")
     if positive and not value > 0:
-        raise ConfigError(_join(path, key), "must be positive")
+        raise ConfigError(path, "must be positive")
     return float(value)
 
 
-def _string(node: dict, key: str, path: str, default=None, required: bool = False, choices: tuple = ()) -> str:
-    if key not in node:
-        if required:
-            raise ConfigError(_join(path, key), "required field missing")
-        return default
-    value = node.pop(key)
+def _string(value, path: str, choices: tuple = ()) -> str:
     if not isinstance(value, str):
-        raise ConfigError(_join(path, key), f"expected a string, got {value!r}")
+        raise ConfigError(path, f"expected a string, got {_got(value)}")
     if choices and value not in choices:
-        raise ConfigError(_join(path, key), f"expected one of {', '.join(choices)}, got {value!r}")
+        raise ConfigError(path, f"expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -146,7 +160,7 @@ def _read_fields(cls, node: dict, path: str, skip: tuple = ()) -> dict:
         if f.name in skip:
             continue
         required = f.default is MISSING and f.default_factory is MISSING
-        value = _number(node, f.name, path, required=required)
+        value = _field(node, f.name, path, _number, required=required)
         if value is not None:
             values[f.name] = value
     return values
@@ -193,8 +207,8 @@ class SweepConfig:
 
 def _parse_grid(node, path: str) -> TimeGrid:
     node = _mapping(node, path)
-    t_end = _number(node, "t_end", path, required=True, positive=True)
-    dt = _number(node, "dt", path, required=True, positive=True)
+    t_end = _field(node, "t_end", path, _number, required=True, positive=True)
+    dt = _field(node, "dt", path, _number, required=True, positive=True)
     _reject_unknown(node, path)
     steps = t_end / dt
     if not math.isfinite(steps) or round(steps) + 1 > MAX_SAMPLES:
@@ -206,21 +220,21 @@ def _parse_grid(node, path: str) -> TimeGrid:
 
 
 def _parse_smib(node: dict, path: str) -> SmibParams:
-    scale = _number(node, "x_line_scale", path, default=1.0, positive=True)
+    scale = _field(node, "x_line_scale", path, _number, default=1.0, positive=True)
     values = _read_fields(SmibParams, node, path, skip=("omega_n",))
     values["x_line_prefault"] *= scale
     values["x_line_postfault"] *= scale
-    f_nominal = _number(node, "f_nominal", path, positive=True)
+    f_nominal = _field(node, "f_nominal", path, _number, positive=True)
     if f_nominal is not None:
         values["omega_n"] = 2.0 * math.pi * f_nominal
         if values["omega_n"] == math.inf:
-            raise ConfigError(_join(path, "f_nominal"), f"2 pi f_nominal is past the float range at {f_nominal!r}")
+            raise ConfigError(_join(path, "f_nominal"), f"2 pi f_nominal is past the float range at {_got(f_nominal)}")
     _reject_unknown(node, path)
     return _build(SmibParams, path, values)
 
 
 def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
-    template = _string(node, "template", path, required=True)
+    template = _field(node, "template", path, _string, required=True)
     values = _read_fields(SyntheticSpec, node, path, skip=("template", "grid"))
     _reject_unknown(node, path)
     spec = _build(SyntheticSpec, path, dict(values, template=template, grid=grid))
@@ -231,10 +245,10 @@ def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
     for key, omega in omegas.items():
         if abs(omega) * grid.dt >= math.pi:
             raise ConfigError(
-                _join(path, key), f"{omega!r} rad/s aliases at dt={grid.dt!r}: |omega| dt must stay below pi"
+                _join(path, key), f"{_got(omega)} rad/s aliases at dt={_got(grid.dt)}: |omega| dt must stay below pi"
             )
     if template == "amplitude_modulated" and not math.isfinite(spec.v_mag * (1.0 + spec.mod_depth)):
-        raise ConfigError(_join(path, "v_mag"), f"v_mag (1 + mod_depth) is past the float range at {spec.v_mag!r}")
+        raise ConfigError(_join(path, "v_mag"), f"v_mag (1 + mod_depth) is past the float range at {_got(spec.v_mag)}")
     if template == "variance_cancelling":
         rate, t_end = spec.envelope_rate, grid.t_end
         exponent = rate * t_end * t_end / 2.0
@@ -248,7 +262,7 @@ def _parse_synthetic(node: dict, path: str, grid: TimeGrid) -> SyntheticSpec:
             if log_peak > math.log(sys.float_info.max):
                 raise ConfigError(
                     _join(path, "envelope_rate"),
-                    f"{what} reaches e^{log_peak:.4g} at t={t_end!r}, past the float range",
+                    f"{what} reaches e^{log_peak:.4g} at t={_got(t_end)}, past the float range",
                 )
     return spec
 
@@ -281,7 +295,7 @@ def _check_file_name(stem: str, suffix: str, path: str) -> None:
         raise ConfigError(path, f"must be UTF-8 text: {exc.reason} at character {exc.start}") from exc
     if size > NAME_MAX_BYTES:
         raise ConfigError(
-            path, f"the file name {stem[:16]!r}...{suffix} takes {size} bytes; at most {NAME_MAX_BYTES}"
+            path, f"the file name {_got(stem[:16])}...{suffix} takes {size} bytes; at most {NAME_MAX_BYTES}"
         )
 
 
@@ -296,18 +310,16 @@ def parse_scenario(doc) -> ScenarioConfig:
     top = _mapping(doc, "")
     if not top:
         raise ConfigError("", "scenario is empty")
-    name = _string(top, "name", "", required=True)
+    name = _field(top, "name", "", _string, required=True)
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ConfigError(
-            "name", f"must be a file name: not empty, . or .., and without /, \\ or NUL; got {name!r}"
+            "name", f"must be a file name: not empty, . or .., and without /, \\ or NUL; got {_got(name)}"
         )
     _check_file_name(name, _LONGEST_SUFFIX, "name")
-    _string(top, "description", "")  # checked only: `scenarios list` reads the raw document
-    system = _mapping(top.pop("system", None), "system")
-    if not system:
-        raise ConfigError("system", "required section missing")
+    _field(top, "description", "", _string)  # checked only: `scenarios list` reads the raw document
+    system = _mapping(top.pop("system", None), "system", required=True)
     grid = _parse_grid(top.pop("grid", None), "grid")
-    kind = _string(system, "kind", "system", required=True, choices=("smib", "synthetic"))
+    kind = _field(system, "kind", "system", _string, required=True, choices=("smib", "synthetic"))
 
     smib = fault = synthetic = None
     if kind == "smib":
@@ -320,8 +332,10 @@ def parse_scenario(doc) -> ScenarioConfig:
             raise ConfigError("fault", "synthetic scenarios take no fault section")
 
     analysis = _mapping(top.pop("analysis", None), "analysis")
-    estimator = _string(analysis, "estimator", "analysis", default=ScenarioConfig.estimator, choices=ESTIMATORS)
-    max_gap = _number(analysis, "max_identity_gap", "analysis", default=ScenarioConfig.max_identity_gap, positive=True)
+    estimator = _field(analysis, "estimator", "analysis", _string, default=ScenarioConfig.estimator, choices=ESTIMATORS)
+    max_gap = _field(
+        analysis, "max_identity_gap", "analysis", _number, default=ScenarioConfig.max_identity_gap, positive=True
+    )
     disturbance_default = fault.t_clear if fault is not None else None
     policy = _parse_policy(analysis.pop("classifier", None), "analysis.classifier", disturbance_default)
     _reject_unknown(analysis, "analysis")
@@ -329,12 +343,7 @@ def parse_scenario(doc) -> ScenarioConfig:
     output = _mapping(top.pop("output", None), "output")
     columns = ScenarioConfig.columns
     if "columns" in output:
-        raw = output.pop("columns")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("output.columns", "expected a non-empty list of column names")
-        for col in raw:
-            if col not in CSV_COLUMNS:
-                raise ConfigError("output.columns", f"unknown column {col!r}")
+        raw = _list(output, "columns", "output", _string, choices=CSV_COLUMNS)
         columns = tuple(col for col in CSV_COLUMNS if col in raw)
     _reject_unknown(output, "output")
     _reject_unknown(top, "")
@@ -358,26 +367,14 @@ def parse_scenario(doc) -> ScenarioConfig:
 def parse_sweep(doc) -> SweepConfig:
     """Validate a sweep document: a base scenario plus one numeric axis."""
     top = _mapping(doc, "")
-    sweep = _mapping(top.pop("sweep", None), "sweep")
-    if not sweep:
-        raise ConfigError("sweep", "required section missing")
-    axis = _string(sweep, "axis", "sweep", required=True)
+    sweep = _mapping(top.pop("sweep", None), "sweep", required=True)
+    axis = _field(sweep, "axis", "sweep", _string, required=True)
     if "" in axis.split("."):
-        raise ConfigError("sweep.axis", f"expected a dotted path of field names, got {axis!r}")
-    raw_values = sweep.pop("values", None)
-    if not isinstance(raw_values, list) or not raw_values:
-        raise ConfigError("sweep.values", "expected a non-empty list of numbers")
-    values = []
-    for k, value in enumerate(raw_values):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"sweep.values[{k}]", f"expected a finite number, got {value!r}")
-        values.append(float(value))
+        raise ConfigError("sweep.axis", f"expected a dotted path of field names, got {_got(axis)}")
+    values = _list(sweep, "values", "sweep", _number)
     _reject_unknown(sweep, "sweep")
 
-    base = top.pop("base", None)
-    if not isinstance(base, dict) or not base:
-        raise ConfigError("base", "required section missing")
+    base = _mapping(top.pop("base", None), "base", required=True)
     _reject_unknown(top, "")
 
     parts = axis.split(".")
@@ -407,7 +404,7 @@ def parse_sweep(doc) -> SweepConfig:
         if name in first:
             raise ConfigError(
                 f"sweep.values[{k}]",
-                f"{value!r} gives the run name {name!r} of sweep.values[{first[name]}]",
+                f"{_got(value)} gives the run name {_got(name)} of sweep.values[{first[name]}]",
             )
         first[name] = k
         _check_file_name(name, ".csv", f"sweep.values[{k}]")

@@ -162,7 +162,7 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
         ("a: 1\x00\n", "config error: not valid YAML: unacceptable character #x0000: special "
                        'characters are not allowed in "<unicode string>", position 4'),
         # valid YAML, but not a mapping
-        ("- a\n- b\n", "config error: expected a YAML mapping at top level"),
+        ("- a\n- b\n", "config error: expected a mapping, got list"),
     ],
     ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark", "list-at-top-level"],
 )

@@ -146,7 +146,8 @@ def test_classifier_thresholds_are_configurable():
         ("fault.t_clear", 0.5, "clear after"),
         ("analysis.estimator", "magic", "analysis.estimator: expected one of"),
         ("analysis.max_identity_gap", 0.0, "must be positive"),
-        ("output.columns", ["nope"], "unknown column"),
+        pytest.param("output.columns", ["nope"], r"output.columns\[0\]: expected one of t, delta",
+                     id="output.columns-value13-unknown column"),
         ("output.columns", [], "non-empty list"),
         ("fault.t_apply", 1.0e308, r"fault.t_apply: 1e\+308 is not a multiple of grid dt=0.001"),
         ("name", "", "name: must be a file name"),
@@ -321,7 +322,7 @@ def test_sweep_axis_values_validated():
         parse_sweep(_sweep_doc([]))
     with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
         parse_sweep(_sweep_doc([5.0, "ten"]))
-    with pytest.raises(ConfigError, match=r"sweep.values\[0\]: expected a finite number"):
+    with pytest.raises(ConfigError, match=r"sweep.values\[0\]: must be finite"):
         parse_sweep(_sweep_doc([10**400]))
 
 
