@@ -16,15 +16,23 @@ and a sweep wraps a scenario under ``base:`` plus a ``sweep:`` section
 naming one numeric field (dotted path) and the values to scan.
 
 Validation is strict: unknown keys anywhere are rejected, and every
-error carries a dotted path so callers can report it.  The field
-readers, ``_number`` and ``_string``, own the rules of a single field:
-its type, finiteness, positivity and choices, reported at the field
-(``config error at grid.dt: must be positive``).  A model's own checks
-are reported at its section (``config error at system: inertia H must
-be positive, got -1.0``).  The model sections read the fields of their
-dataclasses (SmibParams, SyntheticSpec, FaultSchedule,
-ClassifierPolicy), and an absent optional key takes the dataclass's
-own default, so each default lives only on its dataclass.
+error carries a dotted path so callers can report it.  The value
+checks, ``_number`` and ``_string``, own the rules of one value: its
+type, finiteness, positivity and choices, reported at its path
+(``config error at grid.dt: must be positive``).  ``_field`` finds a
+field and hands its value to one of them, ``_list`` checks a list,
+which may not be empty, entry by entry at ``path[k]``
+(``sweep.values[1]``), and ``_mapping`` reads a section.  A refusal
+names a list or mapping that has entries by its type (``expected a
+number, got list``) and any other value by its repr, so it is never
+longer than the document text behind it, however many times a YAML
+alias repeats that text.  ``load_document`` refuses a key given twice
+in one mapping, and nesting too deep for PyYAML to read.  A model's own
+checks are reported at its section (``config error at system: inertia
+H must be positive, got -1.0``).  The model sections read the fields of
+their dataclasses (SmibParams, SyntheticSpec, FaultSchedule,
+ClassifierPolicy), and an absent optional key takes the dataclass's own
+default, so each default lives only on its dataclass.
 """
 
 from __future__ import annotations
@@ -98,12 +106,16 @@ def _join(path: str, key: str) -> str:
 
 
 def _got(value) -> str:
-    """A refused value as its refusal names it: a list or mapping with entries by its type, else its repr."""
+    """A refused value as a refusal names it: a list or mapping with entries by its type, else its repr.
+
+    A YAML alias costs a few bytes of text however large the value it
+    repeats, so spelling out a list could print far more than was read.
+    """
     return type(value).__name__ if isinstance(value, (list, dict)) and value else repr(value)
 
 
 def _mapping(node, path: str, required: bool = False) -> dict:
-    """A copy of section ``node`` to pop fields from; an absent section is empty."""
+    """A copy of section ``node`` to pop fields from; an absent section is empty, or refused when required."""
     if node is not None and not isinstance(node, dict):
         raise ConfigError(path, f"expected a mapping, got {type(node).__name__}")
     if required and not node:
@@ -119,12 +131,11 @@ def _reject_unknown(node: dict, path: str) -> None:
 
 def _field(node: dict, key: str, path: str, read, default=None, required: bool = False, **rule):
     """Pop ``key`` from ``node`` and check it with ``read(value, path.key, **rule)``."""
-    path = _join(path, key)
-    if key not in node:
-        if required:
-            raise ConfigError(path, "required field missing")
-        return default
-    return read(node.pop(key), path, **rule)
+    if key in node:
+        return read(node.pop(key), _join(path, key), **rule)
+    if required:
+        raise ConfigError(_join(path, key), "required field missing")
+    return default
 
 
 def _list(node: dict, key: str, path: str, read, **rule) -> list:
@@ -422,20 +433,39 @@ def apply_axis(base_doc: dict, axis: str, value: float) -> dict:
     return doc
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, refusing a key that a mapping gives twice (YAML 1.2 keys are unique)."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]  # a key may override a merged one
+        mapping = super().construct_mapping(node, deep=deep)  # refuses an unhashable key
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                problem = f"found the key {_got(key)} twice"
+                raise yaml.constructor.ConstructorError(None, None, problem, key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def load_document(path) -> dict:
     """Read one YAML document; multi-document files are rejected.
 
-    A syntax error is reported on one line, at its 1-based line and column.
+    A syntax error, a repeated key or nesting too deep for PyYAML's
+    recursive composer is reported on one line, at its 1-based line and
+    column where PyYAML marks one.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        docs = list(yaml.safe_load_all(text))
+        docs = list(yaml.load_all(text, Loader=_UniqueKeyLoader))
+    except RecursionError as exc:  # PyYAML's composer recurses once per nesting level
+        raise ConfigError("", "not valid YAML: nested too deeply to read") from exc
     except yaml.YAMLError as exc:
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         if mark is None or problem is None:
             raise ConfigError("", f"not valid YAML: {' '.join(str(exc).split())}") from exc
-        where = f"at line {mark.line + 1}, column {mark.column + 1}"
-        raise ConfigError("", f"not valid YAML {where}: {problem}") from exc
+        raise ConfigError("", f"not valid YAML at line {mark.line + 1}, column {mark.column + 1}: {problem}") from exc
     if len(docs) != 1:
         raise ConfigError("", f"expected a single YAML document, found {len(docs)}")
     return docs[0]

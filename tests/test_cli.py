@@ -163,8 +163,16 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
                        'characters are not allowed in "<unicode string>", position 4'),
         # valid YAML, but not a mapping
         ("- a\n- b\n", "config error: expected a mapping, got list"),
+        # YAML 1.2 keys are unique: the second occurrence is refused where it stands
+        ("name: dup\nsystem:\n  kind: synthetic\n  template: dual_frequency\n  omega1: 2.0\n  omega1: 5.0\n",
+         "config error: not valid YAML at line 6, column 3: found the key 'omega1' twice"),
+        ("system: {kind: synthetic, omega1: 2.0, omega1: 5.0}\n",
+         "config error: not valid YAML at line 1, column 40: found the key 'omega1' twice"),
+        # PyYAML's composer recurses once per level, and stops far short of 5 000
+        ("name: " + "[" * 5000 + "]" * 5000 + "\n", "config error: not valid YAML: nested too deeply to read"),
     ],
-    ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark", "list-at-top-level"],
+    ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark", "list-at-top-level",
+         "repeated-key-block", "repeated-key-flow", "nested-5000-deep"],
 )
 def test_yaml_syntax_error_exits_2_on_one_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.yaml"
@@ -173,6 +181,37 @@ def test_yaml_syntax_error_exits_2_on_one_line(tmp_path, capsys, text, line):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
+
+
+def _alias_chain(levels=6, width=10):
+    """A flow list of ``levels`` anchored lists, each holding ``width`` aliases of the one before.
+
+    Its text is a few hundred bytes; written out in full, the lists hold
+    ``width ** levels`` numbers at the last level alone.
+    """
+    chain = [f"&a0 [{', '.join(['1.0'] * width)}]"]
+    chain += [f"&a{k} [{', '.join([f'*a{k - 1}'] * width)}]" for k in range(1, levels)]
+    return f"[{', '.join(chain)}]"
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("run", SMIB_YAML.replace("H: 5.0", f"H: {_alias_chain()}"),
+     "config error at system.H: expected a number, got list"),
+    ("run", TONE_YAML + f"output:\n  columns: [{_alias_chain()}]\n",
+     "config error at output.columns[0]: expected a string, got list"),
+    ("sweep", SWEEP_YAML.replace("values: [0.0, 0.3]", f"values: [{_alias_chain()}]"),
+     "config error at sweep.values[0]: expected a number, got list"),
+], ids=["system.H", "output.columns", "sweep.values"])
+def test_a_refusal_does_not_expand_a_yaml_alias(tmp_path, capsys, command, text, line):
+    """A refused list is named by its type. At 6 levels a refusal that spelled
+    the list out would print about 5 MB: enough to fail, too little to exhaust memory."""
+    path = tmp_path / "alias.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert len(text) < 600
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n" and len(captured.err) < 300
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,9 @@ def test_classifier_thresholds_are_configurable():
         ("system.f_nominal", -60.0, "at system.f_nominal: must be positive"),
         ("system.f_nominal", 0.0, "at system.f_nominal: must be positive"),
         ("system", None, "at system: required section missing"),
+        ("output.columns", ["t", 5], r"at output.columns\[1\]: expected a string, got 5"),
+        ("output.columns", 5, "at output.columns: expected a non-empty list, got 5"),
+        ("system.H", [5.0], "at system.H: expected a number, got list"),
     ],
 )
 def test_scenario_rejections_carry_dotted_paths(path, value, fragment):
@@ -381,6 +384,14 @@ def test_sweep_refuses_a_missing_section_at_its_name(section):
     assert info.value.path == section
 
 
+@pytest.mark.parametrize("base, got", [(5, "int"), (["x"], "list")])
+def test_sweep_refuses_a_base_that_is_not_a_mapping(base, got):
+    doc = _sweep_doc([5.0])
+    doc["base"] = base
+    with pytest.raises(ConfigError, match=f"^at base: expected a mapping, got {got}$"):
+        parse_sweep(doc)
+
+
 def test_sweep_takes_an_invalid_first_value_as_a_row():
     sw = parse_sweep(_sweep_doc([-1.0, 5.0]))
     assert sw.values == (-1.0, 5.0)
@@ -418,6 +429,14 @@ def test_load_document_rejects_multi_doc_and_bad_yaml(tmp_path):
     bad.write_text("name: [unclosed\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_document(bad)
+
+
+def test_load_document_lets_a_key_override_a_merged_one(tmp_path):
+    """A ``<<`` merge is not a repeated key: a key of the mapping itself overrides a merged one."""
+    path = tmp_path / "merge.yaml"
+    path.write_text(SYNTH_DOC.replace("  template:", "  <<: {template: dual_frequency, omega1: 5.0}\n  template:"),
+                    encoding="utf-8")
+    assert parse_scenario(load_document(path)).synthetic.omega1 == 2.0
 
 
 # ------------------------------------------------------------- robustness
