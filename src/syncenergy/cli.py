@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_document, parse_scenario, parse_sweep
+from .config import ConfigError, apply_axis, load_document, parse_scenario, parse_sweep
 from .pipeline import ESTIMATORS
 from .runner import run_scenario, run_sweep, verify_scenario
 
@@ -31,7 +31,8 @@ def bundled_scenarios() -> dict:
 def _document(args, sweep: bool) -> dict:
     """``args.config``'s document with the overrides written in; the other kind is refused.
 
-    A document that is not a mapping is returned as it is, for the parser to name its type.
+    A document, or a sweep's base, that is not a mapping is returned as it
+    is, for the parser to name its type.
     """
     path = Path(args.config)
     if not path.is_file():
@@ -41,15 +42,14 @@ def _document(args, sweep: bool) -> dict:
     doc = load_document(path)
     if not isinstance(doc, dict):
         return doc
-    target = doc.get("base") if "sweep" in doc else doc
-    for section, key, value in (("grid", "dt", args.dt), ("analysis", "estimator", args.estimator)):
-        # a section that is no mapping is left for the parser to name
-        if value is not None and isinstance(target, dict) and isinstance(target.setdefault(section, {}), dict):
-            target[section][key] = value
     if "sweep" in doc and not sweep:
         raise ConfigError("", "this is a sweep document; use the sweep command")
     if sweep and "sweep" not in doc:
         raise ConfigError("", "this is a scenario document; use the run command")
+    prefix = "base." if sweep else ""
+    for axis, value in (("grid.dt", args.dt), ("analysis.estimator", args.estimator)):
+        if value is not None and isinstance(doc.get("base") if sweep else doc, dict):
+            doc = apply_axis(doc, prefix + axis, value)
     return doc
 
 

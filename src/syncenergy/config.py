@@ -37,7 +37,6 @@ default, so each default lives only on its dataclass.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -388,16 +387,6 @@ def parse_sweep(doc) -> SweepConfig:
     base = _mapping(top.pop("base", None), "base", required=True)
     _reject_unknown(top, "")
 
-    parts = axis.split(".")
-    node = base
-    for part in parts[:-1]:
-        node = node.get(part) if isinstance(node, dict) else None
-    if not isinstance(node, dict):
-        raise ConfigError(_join("base", axis), "axis parent section not found in base")
-    leaf = node.get(parts[-1])
-    if leaf is not None and (isinstance(leaf, bool) or not isinstance(leaf, (int, float))):
-        raise ConfigError(_join("base", axis), "axis must name a numeric field")
-
     # the base must give a valid scenario at one value at least; the others become error rows
     error = None
     for value in values:
@@ -422,15 +411,21 @@ def parse_sweep(doc) -> SweepConfig:
     return config
 
 
-def apply_axis(base_doc: dict, axis: str, value: float) -> dict:
-    """Deep-copy the base document with ``axis`` set to ``value``."""
-    doc = copy.deepcopy(base_doc)
-    node = doc
-    parts = axis.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
-    return doc
+def apply_axis(doc, axis: str, value) -> dict:
+    """A copy of ``doc`` with the field at dotted path ``axis`` set to ``value``; ``doc`` is left as it is.
+
+    The one walk into a document: each section on the way is read by
+    ``_mapping``, so an absent or null one becomes empty and any other
+    value that is not a mapping is refused at its dotted path.  Only the
+    sections on the path are copied; the parser copies what it reads.
+    """
+    top = node = _mapping(doc, "")
+    *sections, key = axis.split(".")
+    for k, section in enumerate(sections):
+        node[section] = _mapping(node.get(section), ".".join(sections[: k + 1]))
+        node = node[section]
+    node[key] = value
+    return top
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
