@@ -22,12 +22,17 @@ type, finiteness, positivity and choices, reported at its path
 (``config error at grid.dt: must be positive``).  ``_field`` finds a
 field and hands its value to one of them, ``_list`` checks a list,
 which may not be empty, entry by entry at ``path[k]``
-(``sweep.values[1]``), and ``_mapping`` reads a section.  A refusal
-names a list or mapping that has entries by its type (``expected a
-number, got list``) and any other value by its repr, so it is never
-longer than the document text behind it, however many times a YAML
-alias repeats that text.  ``load_document`` refuses a key given twice
-in one mapping, and nesting too deep for PyYAML to read.  A model's own
+(``sweep.values[1]``), and ``_mapping`` reads a section.
+``apply_axis`` is the one walk into a document along a dotted path: it
+reads each section on the way with ``_mapping`` and writes a sweep's
+axis value or a CLI override, and the parser judges what it writes.
+A refusal names bytes and a list or mapping that has entries by its
+type (``expected a number, got list``), as it does an int too long to
+print, and any other value by its repr cut to 100 characters, so it
+is never longer than the document text behind it, however many times
+a YAML alias repeats that text.  ``load_document`` refuses a key given
+twice in one mapping, a scalar its constructor refuses, at its line and
+column, and nesting too deep for PyYAML to read.  A model's own
 checks are reported at its section (``config error at system: inertia
 H must be positive, got -1.0``).  The model sections read the fields of
 their dataclasses (SmibParams, SyntheticSpec, FaultSchedule,
@@ -105,12 +110,21 @@ def _join(path: str, key: str) -> str:
 
 
 def _got(value) -> str:
-    """A refused value as a refusal names it: a list or mapping with entries by its type, else its repr.
+    """A refused value as a refusal names it, in at most about 100 characters.
 
-    A YAML alias costs a few bytes of text however large the value it
+    Bytes, or a list or mapping with entries, are named by their type: a
+    YAML alias costs a few bytes of text however large the value it
     repeats, so spelling out a list could print far more than was read.
+    So is an int too long for ``repr``; any other repr is cut at 100
+    characters.
     """
-    return type(value).__name__ if isinstance(value, (list, dict)) and value else repr(value)
+    if isinstance(value, (bytes, list, dict)) and value:
+        return type(value).__name__
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's limit on digits in a string
+        return type(value).__name__
+    return text if len(text) <= 100 else text[:100] + "..."
 
 
 def _mapping(node, path: str, required: bool = False) -> dict:
@@ -159,7 +173,7 @@ def _string(value, path: str, choices: tuple = ()) -> str:
     if not isinstance(value, str):
         raise ConfigError(path, f"expected a string, got {_got(value)}")
     if choices and value not in choices:
-        raise ConfigError(path, f"expected one of {', '.join(choices)}, got {value!r}")
+        raise ConfigError(path, f"expected one of {', '.join(choices)}, got {_got(value)}")
     return value
 
 
@@ -443,13 +457,20 @@ class _UniqueKeyLoader(yaml.SafeLoader):
             seen.add(key)
         return mapping
 
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep=deep)
+        except ValueError as exc:  # a scalar its constructor refuses: a bad date, an int past the digit limit
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
 
 def load_document(path) -> dict:
     """Read one YAML document; multi-document files are rejected.
 
-    A syntax error, a repeated key or nesting too deep for PyYAML's
-    recursive composer is reported on one line, at its 1-based line and
-    column where PyYAML marks one.
+    A syntax error, a repeated key, a scalar its constructor refuses
+    (a bad date, an int past Python's digit limit) or nesting too deep
+    for PyYAML's recursive composer is reported on one line, at its
+    1-based line and column where PyYAML marks one.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:

@@ -1,10 +1,12 @@
 """Command-line behavior: subcommands, overrides, and exit codes."""
 
+import base64
 import contextlib
 import copy
 import io
 import json
 import os
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -117,6 +119,15 @@ def test_run_estimator_override_recorded(tone_file, tmp_path):
     assert summary["estimator"] == "pll"
 
 
+def test_an_override_fills_a_null_section(tmp_path):
+    """``analysis:`` with no value is an empty section, which --estimator fills."""
+    path = tmp_path / "tone.yaml"
+    path.write_text(TONE_YAML + "analysis:\n", encoding="utf-8")
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "o"), "--estimator", "pll", "--no-emit-series"]) == 0
+    summary = json.loads((tmp_path / "o" / "tone.summary.json").read_text())
+    assert summary["estimator"] == "pll"
+
+
 @pytest.mark.parametrize("dt, code", [("0.18", 2), ("0.16", 2), ("0.1", 0)])
 def test_pll_run_exits_2_at_grid_dt_past_the_step_bound(tmp_path, capsys, dt, code):
     """Past pll.DT_MAX (0.1531 s) the loop cannot lock: constant phasors
@@ -149,6 +160,16 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
     assert "config error at grid.dt" in capsys.readouterr().err
 
 
+def _int_limit():
+    """Python's reason for refusing the 5 000-digit int, which begins ``Exceeds the limit (4300 digits)``."""
+    try:
+        int("7" * 5000)
+    except ValueError as exc:
+        assert str(exc).startswith("Exceeds the limit (4300 digits) for integer string conversion")
+        return str(exc)
+    return None
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -170,9 +191,19 @@ def test_invalid_config_exits_2_with_path(tmp_path, capsys):
          "config error: not valid YAML at line 1, column 40: found the key 'omega1' twice"),
         # PyYAML's composer recurses once per level, and stops far short of 5 000
         ("name: " + "[" * 5000 + "]" * 5000 + "\n", "config error: not valid YAML: nested too deeply to read"),
+        # a scalar its constructor refuses is reported where it stands, with Python's reason
+        ("a: 2001-13-45\n", "config error: not valid YAML at line 1, column 4: month must be in 1..12"),
+        ("a: !!float abc\n", "config error: not valid YAML at line 1, column 4: "
+                              "could not convert string to float: 'abc'"),
+        ("a: !!int abc\n", "config error: not valid YAML at line 1, column 4: "
+                            "invalid literal for int() with base 10: 'abc'"),
+        pytest.param("a: " + "7" * 5000 + "\n", f"config error: not valid YAML at line 1, column 4: {_int_limit()}",
+                     marks=pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                              reason="this Python sets no limit on the digits of an int")),
     ],
     ids=["open-flow-then-newline", "open-flow", "bad-indent", "no-mark", "list-at-top-level",
-         "repeated-key-block", "repeated-key-flow", "nested-5000-deep"],
+         "repeated-key-block", "repeated-key-flow", "nested-5000-deep",
+         "bad-date", "bad-float", "bad-int", "int-past-the-digit-limit"],
 )
 def test_yaml_syntax_error_exits_2_on_one_line(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.yaml"
@@ -212,6 +243,44 @@ def test_a_refusal_does_not_expand_a_yaml_alias(tmp_path, capsys, command, text,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n" and len(captured.err) < 300
+
+
+@pytest.mark.parametrize("text, line", [
+    ("name: 0x" + "f" * 5000 + "\n", "config error at name: expected a string, got int"),
+    (SMIB_YAML.replace("H: 5.0", "H: !!binary " + base64.b64encode(bytes(range(256)) * 40).decode()),
+     "config error at system.H: expected a number, got bytes"),
+    (SMIB_YAML.replace("H: 5.0", 'H: "' + "\\L" * 3000 + '"'),
+     "config error at system.H: expected a number, got " + repr("\u2028" * 3000)[:100] + "..."),
+    (SMIB_YAML.replace("kind: smib", 'kind: "' + "\\L" * 3000 + '"'),
+     "config error at system.kind: expected one of smib, synthetic, got " + repr("\u2028" * 3000)[:100] + "..."),
+], ids=["int-past-the-digit-limit", "binary", "line-separators-at-H", "line-separators-at-kind"])
+def test_a_refusal_names_a_value_in_about_100_characters(tmp_path, capsys, text, line):
+    """An int too long for repr and bytes are named by their type, and
+    any other repr is cut at 100 characters: the line stays short
+    however long the value's text."""
+    path = tmp_path / "long.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert len(text) > 5000
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n" and len(captured.err.encode("utf-8")) < 300
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("run", TONE_YAML.replace("grid:\n  t_end: 2.0\n  dt: 0.001\n", "grid: 5\n"),
+     "config error at grid: expected a mapping, got int"),
+    ("sweep", SWEEP_YAML.replace("  grid:\n    t_end: 2.0\n    dt: 0.001\n", "  grid: 5\n"),
+     "config error at base.grid: expected a mapping, got int"),
+    ("sweep", SWEEP_YAML.split("base:")[0], "config error at base: required section missing"),
+], ids=["run-grid", "sweep-base-grid", "sweep-no-base"])
+def test_an_override_refuses_a_section_that_is_no_mapping_at_its_path(tmp_path, capsys, command, text, line):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path), "--dt", "0.01", "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -507,6 +576,8 @@ def test_run_exits_2_at_system_when_the_amplitudes_overflow_the_se_scale(tmp_pat
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "base", "system", "D"), {"dt": 1})])
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "axis"), "")])
 @example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "values"), [-1.0, 5.0])])
+# an axis through a field that is not a section
+@example(name="sweep_inertia.yaml", edits=[(_leaf("sweep_inertia.yaml", "sweep", "axis"), "name.x")])
 def test_cli_runs_or_exits_2_at_a_field_of_the_document(name, edits):
     """A damaged bundled document runs (exit 0) or exits 2 with one line
     ``config error at <path>``, the path inside the document's own

@@ -351,6 +351,20 @@ def test_sweep_axis_must_point_into_base():
         parse_sweep(doc)
 
 
+@pytest.mark.parametrize("axis, message", [
+    ("name.x", "at base.name: expected a mapping, got str"),
+    ("system.kind", "at base.system.kind: expected a string, got 5.0"),
+    ("grid", "at base.grid: expected a mapping, got float"),
+    ("output.columns.x", "at base.output.columns: expected a non-empty list, got dict"),
+], ids=["name.x", "system.kind", "grid", "output.columns.x"])
+def test_sweep_axis_is_judged_by_the_scenario_parser(axis, message):
+    doc = _sweep_doc([5.0])
+    doc["sweep"]["axis"] = axis
+    with pytest.raises(ConfigError) as info:
+        parse_sweep(doc)
+    assert str(info.value) == message
+
+
 def test_sweep_rejects_invalid_base():
     doc = _sweep_doc([5.0])
     del doc["base"]["system"]["x_gen"]

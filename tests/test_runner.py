@@ -628,6 +628,22 @@ def test_run_sweep_can_emit_member_series(tmp_path):
     assert summary["rows"][0]["status"] == "BoundedNotSynchronized"
 
 
+def test_sweep_axis_may_name_a_field_in_a_section_the_base_omits(tmp_path):
+    """The base has no analysis section: each row runs as if its value were
+    written into an explicit analysis.classifier section.  Damped, the swing
+    falls below eps_sync times its peak within 30 s at 1e-3 only."""
+    base = dict(SMIB_DOC, system=dict(SMIB_DOC["system"], D=5.0), grid={"t_end": 30.0, "dt": 0.001})
+    sweep = parse_sweep({"sweep": {"axis": "analysis.classifier.eps_sync", "values": [1e-6, 1e-3]}, "base": base})
+    rows = run_sweep(sweep, tmp_path / "sweep")["rows"]
+    assert [row["status"] for row in rows] == ["BoundedNotSynchronized", "Synchronized"]
+    facts = ("status", "settle_time", "peak_psi", "tail_mean_psi", "identity_rel_gap", "diverged")
+    for value, row in zip(sweep.values, rows):
+        explicit = dict(base, name=sweep.run_name(value), analysis={"classifier": {"eps_sync": value}})
+        run = run_scenario(parse_scenario(explicit), tmp_path / "runs", emit_series=False)
+        assert row["error"] == ""
+        assert {key: row[key] for key in facts} == {key: run[key] for key in facts}
+
+
 # ---------------------------------------------------------- verify_scenario
 
 def test_verify_reports_second_order_shrink():
