@@ -2,7 +2,7 @@
 
     syncenergy run <config|name>     execute one scenario, write CSV + summary
     syncenergy sweep <config|name>   scan one numeric axis, write a table
-    syncenergy verify <config|name>  compare the two SE routes at dt and dt/2
+    syncenergy verify <config|name>  compare the two SE routes at dt and dt/2 (fd)
     syncenergy scenarios list        show the bundled scenario files
 
 Configs are YAML files; a name that is not a file refers to a bundled
@@ -47,7 +47,7 @@ def _document(args, sweep: bool) -> dict:
     if sweep and "sweep" not in doc:
         raise ConfigError("", "this is a scenario document; use the run command")
     prefix = "base." if sweep else ""
-    for axis, value in (("grid.dt", args.dt), ("analysis.estimator", args.estimator)):
+    for axis, value in (("grid.dt", args.dt), ("analysis.estimator", getattr(args, "estimator", None))):
         if value is not None and isinstance(doc.get("base") if sweep else doc, dict):
             doc = apply_axis(doc, prefix + axis, value)
     return doc
@@ -74,7 +74,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     config = parse_scenario(_document(args, sweep=False))
     report = verify_scenario(config)
-    print(f"{config.name}: SE route agreement ({config.estimator} estimator)")
+    print(f"{config.name}: SE route agreement (fd estimator)")
     print(f"  dt = {config.grid.dt:g}: rel gap {report.coarse.rel_gap:.3e} "
           f"over {report.coarse.n_compared} samples")
     print(f"  dt = {config.grid.dt / 2:g}: rel gap {report.fine.rel_gap:.3e}")
@@ -97,7 +97,7 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
-# name, help, handler, --emit-series default (None: no output flags)
+# name, help, handler, --emit-series default (None: no output flags and no --estimator)
 _COMMANDS = (
     ("run", "execute one scenario", _cmd_run, True),
     ("sweep", "scan one numeric axis over a base scenario", _cmd_sweep, False),
@@ -115,9 +115,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="scenario YAML path or bundled scenario name")
         p.add_argument("--dt", type=float, default=None, help="override grid.dt")
-        p.add_argument("--estimator", choices=ESTIMATORS, default=None,
-                       help="override analysis.estimator")
         if emit_default is not None:
+            p.add_argument("--estimator", choices=ESTIMATORS, default=None,
+                           help="override analysis.estimator")
             p.add_argument("--out-dir", default=".", help="directory for output files")
             p.add_argument("--emit-series", action=argparse.BooleanOptionalAction,
                            default=emit_default, help="write per-run series CSV files")

@@ -164,6 +164,12 @@ def execute_scenario(config: ScenarioConfig, simulation: ForkedCall | None = Non
 def verify_scenario(config: ScenarioConfig) -> VerifyReport:
     """Compare the SE routes at the configured dt and at dt/2.
 
+    Both grids are analysed with fd frequencies, whatever
+    ``config.estimator`` says.  The identity it checks (the closed form
+    equals the direct TEO of p and q) holds where omega is the stencil's
+    derivative of the phase; a PLL's omega lags that derivative, so under
+    ``pll`` the gap would measure the loop's tracking error.
+
     The observed convergence order is log2 of the gap ratio; it is None
     when either gap vanishes (exactly representable scenarios) or is not
     finite.  A SMIB scenario's dt/2 grid, past ``_FORK_MIN_SAMPLES``,
@@ -182,13 +188,13 @@ def verify_scenario(config: ScenarioConfig) -> VerifyReport:
             "grid.dt", f"verify runs {config.grid.n} samples and then {n_fine} at dt/2; at most {MAX_SAMPLES}"
         )
     fine_grid = TimeGrid(0.0, config.grid.dt / 2.0, n_fine)
-    fine_config = dataclasses.replace(config, grid=fine_grid)
+    fine_config = dataclasses.replace(config, grid=fine_grid, estimator="fd")
     if config.synthetic is not None:
         fine_config = dataclasses.replace(
             fine_config, synthetic=dataclasses.replace(config.synthetic, grid=fine_grid)
         )
     with _simulation(fine_config) as fine_sim:
-        coarse = execute_scenario(config).identity
+        coarse = execute_scenario(dataclasses.replace(config, estimator="fd")).identity
         fine = execute_scenario(fine_config, fine_sim).identity
     if 0.0 < coarse.rel_gap < math.inf and 0.0 < fine.rel_gap < math.inf:
         order = math.log2(coarse.rel_gap) - math.log2(fine.rel_gap)  # finite, unlike a ratio's log

@@ -137,8 +137,10 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     Each RK4 step uses the reactance of the interval it starts in
     (pre, fault-on from t_apply inclusive, post from t_clear inclusive);
     network outputs at a sample use that same left-closed convention.
-    If |delta| exceeds ``DELTA_CAP`` the run stops at that sample and
-    ``diverged`` is set; the returned grid covers only computed samples.
+    If |delta| exceeds ``DELTA_CAP`` at the fifth sample or later, the run
+    stops at that sample and ``diverged`` is set; the returned grid covers
+    only computed samples.  The cap waits for the fifth sample, the fewest
+    the analysis takes, so a run that diverges at once still gets a verdict.
 
     Raises
     ------
@@ -183,7 +185,7 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
                 w = w + sixth * (kw1 + 2.0 * (kw2 + kw3) + kw4)
                 delta[k + 1] = d
                 omega[k + 1] = w
-                if abs(d) > DELTA_CAP:
+                if abs(d) > DELTA_CAP and k >= 3:
                     n_kept = k + 2
                     break
             if n_kept < grid.n:
@@ -202,7 +204,8 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     v_cplx = emf - 1j * params.x_gen * i_cplx
     v_bus = ParkSeries.from_complex(out_grid, v_cplx)
     i_inj = ParkSeries.from_complex(out_grid, i_cplx)
-    # the loop stops on the first angle past the cap, so only a diverged run ends on one
+    # the loop stops on the first angle past the cap from the fifth sample on, so only a
+    # diverged run ends on one
     return SimResult(out_grid, delta, omega, v_bus, i_inj, abs(d) > DELTA_CAP)
 
 

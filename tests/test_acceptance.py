@@ -1,6 +1,6 @@
 """Acceptance checks for the synchronization-energy package.
 
-Twelve numbered end-to-end checks, each printing one PASS/FAIL line with
+Thirteen numbered end-to-end checks, each printing one PASS/FAIL line with
 the measured numbers.  They pin the published behavior: operator
 identities and tolerances, machine-case orderings and verdicts, estimator
 agreement, and byte-level determinism of the emitted files.
@@ -16,6 +16,12 @@ exponential null cases are checked as before.
 
 Check 12 rewrites every bundled scenario and sweep twice and is the slow
 one (about 5 s, dominated by the two 120 s damped records).
+
+Check 13 holds both SE routes of the SMIB scenarios to the plant's exact SE
+(``test_simulator.exact_se``), which the chain rule gives from the
+simulated state without differencing.  The route gap that ``verify``
+bounds is no bound on either route's error, so the check measures each
+one.  The last test pins the verdict of every bundled document.
 """
 
 import dataclasses
@@ -26,11 +32,12 @@ from importlib import resources
 import numpy as np
 import pytest
 from test_energy import teo_complex
-from test_simulator import swing_energy
+from test_simulator import exact_se, swing_energy
 
 from syncenergy.config import load_document, parse_sweep
 from syncenergy.energy import EDGE_WIDTH, conditional_variance, teo_real
-from syncenergy.metric import SyncStatus
+from syncenergy import runner
+from syncenergy.metric import SyncStatus, classify_sync
 from syncenergy.pll import PllParams, pll_run
 from syncenergy.runner import (execute_scenario, run_sweep, verify_scenario,
                                write_series_csv)
@@ -308,3 +315,110 @@ def test_12_bundled_scenarios_are_deterministic(capsys, tmp_path, scenario_runs,
     _report(capsys, 12, "deterministic output", not differing,
             f"all {total} outputs byte-identical" if not differing
             else f"differences in {', '.join(differing)}")
+
+
+def _exact_errors(run):
+    """Each route's error against the exact SE, (closed form, direct), with the
+    exact SE: max |route - exact| over the samples ``identity_gap`` compares,
+    divided by max |exact| there.  Also the relative round-off floor of the
+    stencil, eps 2 max|s|^2 / dt^2 divided by that max."""
+    se = run.analysis.se
+    mask = se.valid & se.interior_mask()
+    times = run.grid.times()
+    for t_lo, t_hi in runner._switch_windows(run.config, run.grid.dt):
+        mask &= (times < t_lo) | (times > t_hi)
+    exact = exact_se(run.config.smib, run.config.fault, run.grid, run.columns["delta"], run.columns["omega_pu"])
+    scale = float(np.max(np.abs(exact[mask])))
+    errors = tuple(float(np.max(np.abs(route[mask] - exact[mask]))) / scale
+                   for route in (se.psi, run.analysis.psi_numeric))
+    floor = np.finfo(float).eps * 2.0 * float(np.max(se.s_mag2)) / run.grid.dt ** 2 / scale
+    return errors, exact, floor
+
+
+def test_13_se_routes_converge_to_the_exact_se(capsys, scenario_runs):
+    """Both routes of the 7 SMIB scenarios, under fd, converge to the exact SE
+    at second order, and the exact SE classifies as the routes do."""
+    failures, lines = [], []
+    for name in RUN_SCENARIOS[:7]:
+        coarse = scenario_runs(name)
+        config = coarse.config
+        fine = execute_scenario(dataclasses.replace(
+            config, grid=TimeGrid(0.0, config.grid.dt / 2.0, 2 * config.grid.n - 1)))
+        (cf, direct), exact, _ = _exact_errors(coarse)
+        (cf_fine, direct_fine), _, floor_fine = _exact_errors(fine)
+        for route, err, err_fine in (("closed form", cf, cf_fine), ("direct", direct, direct_fine)):
+            order = math.log2(err / err_fine)
+            if err_fine > 100.0 * floor_fine and not order >= 1.9:
+                failures.append(f"{name} {route} order {order:.2f}")
+        exact_verdict, *route_verdicts = (
+            classify_sync(dataclasses.replace(coarse.analysis.se, psi=psi), config.policy, coarse.diverged)
+            for psi in (exact, coarse.analysis.se.psi, coarse.analysis.psi_numeric))
+        for route in route_verdicts:
+            settles = (exact_verdict.settle_time, route.settle_time)
+            same_settle = settles == (None, None) or (
+                None not in settles and abs(settles[0] - settles[1]) <= config.grid.dt)
+            if route.status is not exact_verdict.status or not same_settle:
+                failures.append(f"{name} exact {exact_verdict.status.value} {settles[0]}, "
+                                f"route {route.status.value} {settles[1]}")
+        lines.append(f"{name} cf {cf:.2e}->{cf_fine:.2e} direct {direct:.2e}->{direct_fine:.2e} "
+                     f"gap {coarse.identity.rel_gap:.1e}->{fine.identity.rel_gap:.1e}")
+    pll = execute_scenario(dataclasses.replace(scenario_runs("smib_h5_d5").config, estimator="pll"))
+    (pll_cf, _), _, _ = _exact_errors(pll)
+    _report(capsys, 13, "routes against the exact SE", not failures,
+            "; ".join(failures or lines) + f"; smib_h5_d5 closed form under pll {pll_cf:.1%} off (no bound)")
+
+
+# status and settle time of every bundled document: each run document under
+# fd and pll, and each sweep's rows under both
+BUNDLED_VERDICTS = {
+    ("smib_h5_d0", "fd"): ("BoundedNotSynchronized", None),
+    ("smib_h5_d0", "pll"): ("BoundedNotSynchronized", None),
+    ("smib_h10_d0", "fd"): ("BoundedNotSynchronized", None),
+    ("smib_h10_d0", "pll"): ("BoundedNotSynchronized", None),
+    ("smib_h5_d5", "fd"): ("Synchronized", 55.455),
+    ("smib_h5_d5", "pll"): ("Synchronized", 55.097),
+    ("smib_h10_d5", "fd"): ("Synchronized", 110.151),
+    ("smib_h10_d5", "pll"): ("Synchronized", 109.642),
+    ("smib_x1", "fd"): ("BoundedNotSynchronized", None),
+    ("smib_x1", "pll"): ("BoundedNotSynchronized", None),
+    ("smib_x3", "fd"): ("BoundedNotSynchronized", None),
+    ("smib_x3", "pll"): ("BoundedNotSynchronized", None),
+    ("smib_x4", "fd"): ("LossOfSynchronism", None),
+    ("smib_x4", "pll"): ("LossOfSynchronism", None),
+    ("synth_constant", "fd"): ("Synchronized", 0.002),
+    ("synth_constant", "pll"): ("Synchronized", 1.866),
+    ("synth_dual_freq", "fd"): ("BoundedNotSynchronized", None),
+    ("synth_dual_freq", "pll"): ("BoundedNotSynchronized", None),
+    ("synth_drift", "fd"): ("BoundedNotSynchronized", None),
+    ("synth_drift", "pll"): ("BoundedNotSynchronized", None),
+    ("synth_variance_cancel", "fd"): ("BoundedNotSynchronized", None),
+    ("synth_variance_cancel", "pll"): ("BoundedNotSynchronized", None),
+    ("synth_limit_cycle", "fd"): ("BoundedNotSynchronized", None),
+    ("synth_limit_cycle", "pll"): ("BoundedNotSynchronized", None),
+    ("sweep_inertia", "fd"): [(5.0, "BoundedNotSynchronized", None), (10.0, "BoundedNotSynchronized", None)],
+    ("sweep_inertia", "pll"): [(5.0, "BoundedNotSynchronized", None), (10.0, "BoundedNotSynchronized", None)],
+    ("sweep_damping", "fd"): [(0.0, "BoundedNotSynchronized", None), (5.0, "Synchronized", 55.455)],
+    ("sweep_damping", "pll"): [(0.0, "BoundedNotSynchronized", None), (5.0, "Synchronized", 55.097)],
+    ("sweep_distance", "fd"): [(1.0, "BoundedNotSynchronized", None), (3.0, "BoundedNotSynchronized", None),
+                               (4.0, "LossOfSynchronism", None)],
+    ("sweep_distance", "pll"): [(1.0, "BoundedNotSynchronized", None), (3.0, "BoundedNotSynchronized", None),
+                                (4.0, "LossOfSynchronism", None)],
+}
+
+
+def test_bundled_verdicts_are_pinned(tmp_path, scenario_runs, bundled_dir):
+    """A verdict that changes shows as a diff of ``BUNDLED_VERDICTS``."""
+    got = {}
+    for name in RUN_SCENARIOS:
+        fd = scenario_runs(name)
+        for estimator in ("fd", "pll"):
+            run = fd if estimator == "fd" else execute_scenario(dataclasses.replace(fd.config, estimator="pll"))
+            got[name, estimator] = (run.verdict.status.value, run.verdict.settle_time)
+    for name in SWEEP_SCENARIOS:
+        with resources.as_file(bundled_dir.joinpath(f"{name}.yaml")) as path:
+            doc = load_document(path)
+        for estimator in ("fd", "pll"):
+            base = dict(doc["base"], analysis=dict(doc["base"].get("analysis") or {}, estimator=estimator))
+            summary = run_sweep(parse_sweep(dict(doc, base=base)), tmp_path / estimator)
+            got[name, estimator] = [(row["value"], row["status"], row["settle_time"]) for row in summary["rows"]]
+    assert got == BUNDLED_VERDICTS

@@ -453,15 +453,37 @@ def test_verify_passes_and_prints_order(tone_file, capsys):
     assert "PASS" in out
 
 
-def test_verify_prints_no_nan_order_when_both_gaps_are_infinite(capsys):
-    """Under the PLL the direct route of a constant scenario is exactly 0 and
-    the closed form is not, so both gaps are inf and no order exists."""
-    code = main(["verify", "synth_constant", "--estimator", "pll"])
+def _early_file(tmp_path) -> Path:
+    """smib_x4's machine at H = 1e-4 and dt = 0.5: its angle passes the cap
+    by the third sample, and the run keeps five, the fewest the analysis takes."""
+    doc = yaml.safe_load(bundled_scenarios()["smib_x4"].read_text(encoding="utf-8"))
+    doc.update(name="early", fault={"t_apply": 0.5, "t_clear": 1.0}, grid={"t_end": 4.0, "dt": 0.5})
+    doc["system"]["H"] = 1.0e-4
+    path = tmp_path / "early.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return path
+
+
+def test_a_run_that_diverges_before_its_fifth_sample_reports_loss_of_synchronism(tmp_path, capsys):
+    """The angle cap fires only from the fifth sample on, so a run that
+    diverges at once still succeeds, with the record the analysis needs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(_early_file(tmp_path)), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr() == ("early: LossOfSynchronism, diverged\n", "")
+    summary = json.loads((tmp_path / "out" / "early.summary.json").read_text(encoding="utf-8"))
+    assert (summary["status"], summary["diverged"], summary["n_samples"]) == ("LossOfSynchronism", True, 5)
+
+
+def test_verify_prints_no_nan_order_when_both_gaps_are_not_finite(tmp_path, capsys):
+    """A run that diverges by its third sample compares no sample at either
+    dt, so both gaps are nan and no order exists."""
+    code = main(["verify", str(_early_file(tmp_path))])
     assert code == 3
     out = capsys.readouterr().out
-    assert "  dt = 0.001: rel gap inf over " in out
+    assert "  dt = 0.5: rel gap nan over 0 samples\n" in out
     assert "  observed convergence order n/a (gap not finite)\n" in out
-    assert "nan" not in out
+    assert "order nan" not in out and "order inf" not in out
 
 
 def test_verify_prints_no_order_when_both_gaps_are_zero(capsys):
@@ -473,6 +495,27 @@ def test_verify_prints_no_order_when_both_gaps_are_zero(capsys):
     assert "  dt = 0.0005: rel gap 0.000e+00\n" in out
     assert "  observed convergence order n/a (gap at machine zero)\n" in out
     assert "PASS" in out
+
+
+def test_verify_takes_no_estimator_option(capsys):
+    """verify checks the fd identity, so ``--estimator`` is a usage error there."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "smib_h5_d0", "--estimator", "pll"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --estimator pll" in capsys.readouterr().err
+
+
+def test_verify_of_a_pll_document_prints_the_fd_report(tmp_path, capsys):
+    """``analysis.estimator: pll`` in the document changes nothing verify prints."""
+    assert main(["verify", "synth_dual_freq"]) == 0
+    shipped = capsys.readouterr()
+    doc = load_document(bundled_scenarios()["synth_dual_freq"])
+    doc["analysis"] = dict(doc.get("analysis") or {}, estimator="pll")
+    path = tmp_path / "synth_dual_freq.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr() == shipped
+    assert "(fd estimator)" in shipped.out and "PASS" in shipped.out
 
 
 def test_verify_unmeetable_bound_exits_3(tmp_path, capsys):

@@ -669,6 +669,17 @@ def test_verify_halves_the_step():
     assert report.fine.n_compared == 2 * config.grid.n - 1 - 4
 
 
+@pytest.mark.parametrize("doc", [TONE_DOC, SMIB_DOC], ids=["synthetic", "smib"])
+def test_verify_analyses_both_grids_with_fd(doc):
+    """The identity verify checks holds for the stencil's frequencies, so a
+    scenario under pll gets the fd report, where the PLL's gap is larger."""
+    config = parse_scenario(doc)
+    pll = dataclasses.replace(config, estimator="pll")
+    report = verify_scenario(pll)
+    assert repr(report) == repr(verify_scenario(config))
+    assert execute_scenario(pll).identity.rel_gap > report.coarse.rel_gap
+
+
 def test_verify_refuses_a_grid_it_would_double_past_the_sample_budget(monkeypatch):
     doc = dict(TONE_DOC, grid={"t_end": 5.0, "dt": 1.0e-6})
     config = parse_scenario(doc)

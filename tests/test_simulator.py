@@ -1,5 +1,6 @@
 """Swing-equation machine model, its energy function, and signal templates."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -68,7 +69,8 @@ def test_rk4_fourth_order_on_oscillator():
 
 def reference_swing(params, fault, grid, delta_cap=DELTA_CAP):
     """(delta, omega_pu, diverged) by rk4_step, each step on the network of
-    the interval its start lies in."""
+    the interval its start lies in; the cap stops the run from the fifth
+    sample on."""
     pm, d_damp, two_h, omega_n = params.Pm, params.D, 2.0 * params.H, params.omega_n
     eps_t = 0.5 * grid.dt
     y = (equilibrium_angle(params), 1.0)
@@ -90,9 +92,9 @@ def reference_swing(params, fault, grid, delta_cap=DELTA_CAP):
         y = rk4_step(deriv, t_k, y, grid.dt)
         delta.append(y[0])
         omega.append(y[1])
-        if abs(y[0]) > delta_cap:
+        if abs(y[0]) > delta_cap and k >= 3:
             return np.array(delta), np.array(omega), True
-    return np.array(delta), np.array(omega), False
+    return np.array(delta), np.array(omega), abs(y[0]) > delta_cap
 
 
 def reference_pll(v, params=PllParams()):
@@ -355,6 +357,21 @@ def test_simulate_is_stationary_before_the_fault():
     assert np.ptp(sim.i_inj.q[pre]) < 1e-9
 
 
+@pytest.mark.parametrize("n, kept", [(4, 4), (5, 5), (9, 5)])
+def test_an_early_divergence_keeps_five_samples(n, kept):
+    """At H = 1e-4 and dt = 0.5 the angle passes the cap at the third sample;
+    the run stops at the fifth, the fewest the analysis takes, and a shorter
+    grid that ends past the cap is flagged too."""
+    fast = dataclasses.replace(WEAK, H=1.0e-4)
+    grid = TimeGrid(0.0, 0.5, n)
+    sim = smib_simulate(fast, FaultSchedule(0.5, 1.0), grid)
+    delta, omega, diverged = reference_swing(fast, FaultSchedule(0.5, 1.0), grid)
+    assert abs(sim.delta[2]) > DELTA_CAP
+    assert (sim.grid.n, sim.diverged, diverged) == (kept, True, True)
+    assert sim.delta.tobytes() == delta.tobytes()
+    assert sim.omega_pu.tobytes() == omega.tobytes()
+
+
 def test_simulate_rejects_off_grid_fault_times():
     grid = TimeGrid(0.0, 1e-3, 2001)
     with pytest.raises(ValueError, match="t_apply"):
@@ -382,6 +399,62 @@ def swing_energy(params: SmibParams, delta, omega_pu, interval: str = "pre") -> 
     p_max = params.E * params.V_inf / params.x_total(interval)
     slip = omega_pu - 1.0
     return params.H * params.omega_n * slip * slip - params.Pm * delta - p_max * np.cos(delta)
+
+
+def exact_se(params: SmibParams, fault, grid: TimeGrid, delta, omega_pu) -> np.ndarray:
+    """Oracle: psi_c(s) = |s'|^2 - Re(s'' conj(s)) of s = v conj(i), exact on the
+    simulated state, with no differencing.
+
+    The swing equation gives delta' = omega_n (omega - 1) and
+    delta'' = omega_n (Pm - Pmax sin delta - D (omega - 1)) / 2H at every
+    sample; v and i are closed functions of z = e^{j delta} (the module
+    docstring of ``syncenergy.simulator``), so s' and s'' follow by the chain
+    rule.  Each sample takes the network of its interval, left-closed at
+    t_apply and t_clear, as ``smib_simulate``'s outputs do.
+    """
+    k = np.arange(delta.size)
+    x_total = np.full(delta.size, params.x_total("pre"))
+    if fault is not None:
+        x_total[k >= round((fault.t_apply - grid.t0) / grid.dt)] = params.x_total("fault")
+        x_total[k >= round((fault.t_clear - grid.t0) / grid.dt)] = params.x_total("post")
+    slip = omega_pu - 1.0
+    d1 = params.omega_n * slip
+    d2 = params.omega_n * (params.Pm - params.E * params.V_inf / x_total * np.sin(delta)
+                           - params.D * slip) / (2.0 * params.H)
+    z = np.exp(1j * delta)
+    z_derivs = (z, 1j * d1 * z, (1j * d2 - d1 * d1) * z)  # z, z', z''
+    # i = (E z - V_inf) / (j x_total) and v = E z - j x_gen i, differentiated term by term
+    i0, i1, i2 = (params.E * zk / (1j * x_total) for zk in z_derivs)
+    i0 = i0 - params.V_inf / (1j * x_total)
+    v0, v1, v2 = (params.E * zk - 1j * params.x_gen * ik for zk, ik in zip(z_derivs, (i0, i1, i2)))
+    s0 = v0 * np.conj(i0)
+    s1 = v1 * np.conj(i0) + v0 * np.conj(i1)
+    s2 = v2 * np.conj(i0) + 2.0 * v1 * np.conj(i1) + v0 * np.conj(i2)
+    return np.abs(s1) ** 2 - (s2 * np.conj(s0)).real
+
+
+def test_exact_se_vanishes_at_the_equilibrium():
+    """Stationary operation: constant v and i, so psi_c(s) is zero to round-off."""
+    grid = TimeGrid(0.0, 1e-3, 2001)
+    sim = smib_simulate(PARAMS, None, grid)
+    psi = exact_se(PARAMS, None, grid, sim.delta, sim.omega_pu)
+    assert np.max(np.abs(psi)) < 1e-12
+
+
+def test_exact_se_matches_central_differences_of_s():
+    """The chain rule's psi_c(s) against central differences of the simulated
+    s, away from the switching samples: at dt = 1e-4 the second-order stencil
+    is within 1e-5 of the peak (measured 1.5e-7)."""
+    grid = TimeGrid(0.0, 1e-4, 30001)
+    sim = smib_simulate(PARAMS, FAULT, grid)
+    s = (sim.v_bus.d + 1j * sim.v_bus.q) * np.conj(sim.i_inj.d + 1j * sim.i_inj.q)
+    psi = exact_se(PARAMS, FAULT, grid, sim.delta, sim.omega_pu)
+    s1 = (s[2:] - s[:-2]) / (2.0 * grid.dt)
+    s2 = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / grid.dt ** 2
+    numeric = np.abs(s1) ** 2 - (s2 * np.conj(s[1:-1])).real
+    t = grid.times()[1:-1]
+    away = (np.abs(t - FAULT.t_apply) > 2e-3) & (np.abs(t - FAULT.t_clear) > 2e-3)
+    assert np.max(np.abs(numeric[away] - psi[1:-1][away])) < 1e-5 * np.max(np.abs(psi))
 
 
 def test_swing_energy_conserved_without_damping():

@@ -1,11 +1,12 @@
 """Write every bundled output of syncenergy and print the SHA-256 of each file.
 
     python tools/bundled_digests.py OUT_DIR
+    python tools/bundled_digests.py --against REF
 
 For each bundled document it runs, through ``syncenergy.cli.main``:
 
 - ``run`` with the fd and with the pll estimator (series CSV and summary);
-- ``verify`` with the fd and with the pll estimator, on each run document;
+- ``verify`` on each run document;
 - ``sweep --emit-series`` with both estimators (table, summary and the
   series of every value);
 - ``scenarios list`` once.
@@ -15,6 +16,12 @@ outputs. The listing is one ``<sha256>  <path>`` line per file, sorted, with
 paths relative to OUT_DIR, so the listings of two source trees, or of two
 processes, compare with ``diff``. The package is imported from the ``src/``
 beside this script.
+
+With ``--against REF`` it extracts the git revision REF into a temporary
+directory with ``git archive`` and runs this script's commands in a fresh
+process on that tree's package and in another on this one. It prints each
+file whose bytes differ, or that is written on one side only, and exits 1;
+or it prints that all files are identical and exits 0.
 """
 
 from __future__ import annotations
@@ -22,10 +29,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+HERE = Path(__file__).resolve()
+ROOT = HERE.parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from syncenergy.cli import bundled_scenarios, main  # noqa: E402
 from syncenergy.config import load_document  # noqa: E402
@@ -53,7 +65,6 @@ def write_outputs(root: Path) -> None:
             _run(argv, out, name)
         if command == "run":
             _run(["verify", name], root / "verify", name)
-            _run(["verify", name, "--estimator", "pll"], root / "verify_pll", name)
 
 
 def sha256(path: Path) -> str:
@@ -64,9 +75,45 @@ def sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _listing(script: Path, out: Path) -> dict:
+    """Path -> SHA-256 of every file that ``script``, run in a fresh process, writes under ``out``."""
+    text = subprocess.run([sys.executable, str(script), str(out)], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
+    return {path: digest for digest, path in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def against(ref: str) -> int:
+    """Compare this tree's outputs with those of the git revision ``ref``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp, "ref")
+        tree.mkdir()
+        try:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                                     check=True, stdout=subprocess.PIPE).stdout
+            subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+            script = tree / "tools" / HERE.name
+            script.parent.mkdir(exist_ok=True)
+            shutil.copyfile(HERE, script)  # the same commands on both trees
+            theirs = _listing(script, Path(tmp, "ref_out"))
+            ours = _listing(HERE, Path(tmp, "out"))
+        except subprocess.CalledProcessError as exc:
+            print(f"error: {' '.join(exc.cmd)} exited {exc.returncode}", file=sys.stderr)
+            return 2
+    changed = sorted(path for path in theirs.keys() | ours.keys() if theirs.get(path) != ours.get(path))
+    for path in changed:
+        side = "" if path in theirs and path in ours else (" (only here)" if path in ours else f" (only in {ref})")
+        print(f"{path}{side}")
+    total = len(theirs.keys() | ours.keys())
+    print(f"{len(changed)} of {total} files differ from {ref}" if changed
+          else f"all {total} files identical to {ref}")
+    return 1 if changed else 0
+
+
 def digests(argv: list) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/bundled_digests.py OUT_DIR", file=sys.stderr)
+    if len(argv) == 2 and argv[0] == "--against":
+        return against(argv[1])
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python tools/bundled_digests.py OUT_DIR | --against REF", file=sys.stderr)
         return 2
     root = Path(argv[0])
     if root.exists() and any(root.iterdir()):
