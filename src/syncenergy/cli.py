@@ -74,17 +74,22 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     config = parse_scenario(_document(args, sweep=False))
     report = verify_scenario(config)
+    coarse, fine = report.coarse, report.fine
     print(f"{config.name}: SE route agreement (fd estimator)")
-    print(f"  dt = {config.grid.dt:g}: rel gap {report.coarse.rel_gap:.3e} "
-          f"over {report.coarse.n_compared} samples")
-    print(f"  dt = {config.grid.dt / 2:g}: rel gap {report.fine.rel_gap:.3e}")
+    # a record whose interior lies in the switching windows compares nothing; its gap is nan
+    for dt, gap, tail in ((config.grid.dt, coarse, f" over {coarse.n_compared} samples"),
+                          (config.grid.dt / 2, fine, "")):
+        print(f"  dt = {dt:g}: " + (f"rel gap {gap.rel_gap:.3e}{tail}" if gap.n_compared else "no sample compared"))
     if report.order is not None:
         print(f"  observed convergence order {report.order:.2f}")
-    elif math.isfinite(report.coarse.rel_gap) and math.isfinite(report.fine.rel_gap):
+    elif not (coarse.n_compared and fine.n_compared):
+        print("  observed convergence order n/a (no sample compared)")
+    elif math.isfinite(coarse.rel_gap) and math.isfinite(fine.rel_gap):
         print("  observed convergence order n/a (gap at machine zero)")
     else:
         print("  observed convergence order n/a (gap not finite)")
-    print(f"  bound {report.bound:g}: {'PASS' if report.passed else 'FAIL'}")
+    print(f"  bound {report.bound:g}: {'PASS' if report.passed else 'FAIL'}"
+          + ("" if coarse.n_compared else " (no sample compared)"))
     return 0 if report.passed else 3
 
 

@@ -237,10 +237,7 @@ def _parse_grid(node, path: str) -> TimeGrid:
     steps = t_end / dt
     if not math.isfinite(steps) or round(steps) + 1 > MAX_SAMPLES:
         raise ConfigError(_join(path, "dt"), f"t_end/dt gives {steps + 1:.10g} samples; at most {MAX_SAMPLES}")
-    n = int(round(steps)) + 1
-    if n < 5:
-        raise ConfigError(path, f"t_end/dt gives only {n} samples; need at least 5")
-    return TimeGrid(0.0, dt, n)
+    return _build(TimeGrid, path, {"t0": 0.0, "dt": dt, "n": int(round(steps)) + 1})
 
 
 def _parse_smib(node: dict, path: str) -> SmibParams:

@@ -45,15 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import EPS_MAG, TimeGrid, _as_series, differentiate
-
-# samples at each end whose value rests on composed one-sided stencils
-EDGE_WIDTH = 2
-
-
-def _require_min_samples(n: int, who: str) -> None:
-    if n < 5:
-        raise ValueError(f"{who} needs at least 5 samples, got {n}")
+from .signals import EDGE_WIDTH, EPS_MAG, TimeGrid, _as_series, differentiate
 
 
 def teo_real(x, grid: TimeGrid) -> np.ndarray:
@@ -69,14 +61,13 @@ def teo_real(x, grid: TimeGrid) -> np.ndarray:
     Parameters
     ----------
     x : array-like
-        Real samples on ``grid`` (at least 5).
+        Real samples on ``grid``.
     grid : TimeGrid
 
     Returns
     -------
     ndarray
     """
-    _require_min_samples(grid.n, "teo_real")
     x = _as_series(x, grid.n, "x")
     xd = differentiate(x, grid)
     xdd = differentiate(xd, grid)
@@ -97,14 +88,13 @@ def conditional_variance(a, grid: TimeGrid) -> np.ndarray:
     Parameters
     ----------
     a : array-like
-        Envelope samples on ``grid`` (at least 5), expected positive.
+        Envelope samples on ``grid``, expected positive.
     grid : TimeGrid
 
     Returns
     -------
     ndarray
     """
-    _require_min_samples(grid.n, "conditional_variance")
     a = _as_series(a, grid.n, "a")
     safe = np.maximum(a, EPS_MAG)
     ad = differentiate(a, grid)

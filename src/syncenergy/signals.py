@@ -31,10 +31,21 @@ EPS_MAG = 1e-6
 
 _TWO_PI = 2.0 * np.pi
 
+# samples at each end whose value rests on composed one-sided stencils
+EDGE_WIDTH = 2
+
+# the fewest samples a record holds: both edges and one interior sample
+MIN_SAMPLES = 2 * EDGE_WIDTH + 1
+
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid t_k = t0 + k dt, k = 0 .. n - 1."""
+    """Uniform sampling grid t_k = t0 + k dt, k = 0 .. n - 1.
+
+    A grid holds at least :data:`MIN_SAMPLES` samples, the fewest on which
+    a second derivative built from two first ones has an interior sample,
+    so no analysis kernel checks a length of its own.
+    """
 
     t0: float
     dt: float
@@ -43,8 +54,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ValueError(f"grid step must be positive, got dt={self.dt}")
-        if self.n < 3:
-            raise ValueError(f"grid needs at least 3 samples, got n={self.n}")
+        if self.n < MIN_SAMPLES:
+            raise ValueError(f"grid needs at least {MIN_SAMPLES} samples, got n={self.n}")
 
     def times(self) -> np.ndarray:
         """Sample instants as an array of shape (n,)."""

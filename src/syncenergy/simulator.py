@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ParkSeries, TimeGrid
+from .signals import MIN_SAMPLES, ParkSeries, TimeGrid
 
 # rotor angle magnitude (rad) beyond which a run counts as diverged
 DELTA_CAP = 10.0 * 2.0 * math.pi
@@ -137,10 +137,11 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     Each RK4 step uses the reactance of the interval it starts in
     (pre, fault-on from t_apply inclusive, post from t_clear inclusive);
     network outputs at a sample use that same left-closed convention.
-    If |delta| exceeds ``DELTA_CAP`` at the fifth sample or later, the run
-    stops at that sample and ``diverged`` is set; the returned grid covers
-    only computed samples.  The cap waits for the fifth sample, the fewest
-    the analysis takes, so a run that diverges at once still gets a verdict.
+    If |delta| exceeds ``DELTA_CAP`` at sample ``MIN_SAMPLES`` (the fifth)
+    or later, the run stops at that sample and ``diverged`` is set; the
+    returned grid covers only computed samples.  The cap waits for
+    ``MIN_SAMPLES`` samples, the fewest a ``TimeGrid`` holds, so a run that
+    diverges at once still gets a verdict.
 
     Raises
     ------
@@ -185,7 +186,7 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
                 w = w + sixth * (kw1 + 2.0 * (kw2 + kw3) + kw4)
                 delta[k + 1] = d
                 omega[k + 1] = w
-                if abs(d) > DELTA_CAP and k >= 3:
+                if abs(d) > DELTA_CAP and k + 2 >= MIN_SAMPLES:
                     n_kept = k + 2
                     break
             if n_kept < grid.n:
@@ -204,7 +205,7 @@ def smib_simulate(params: SmibParams, fault: FaultSchedule | None, grid: TimeGri
     v_cplx = emf - 1j * params.x_gen * i_cplx
     v_bus = ParkSeries.from_complex(out_grid, v_cplx)
     i_inj = ParkSeries.from_complex(out_grid, i_cplx)
-    # the loop stops on the first angle past the cap from the fifth sample on, so only a
+    # the loop stops on the first angle past the cap from sample MIN_SAMPLES on, so only a
     # diverged run ends on one
     return SimResult(out_grid, delta, omega, v_bus, i_inj, abs(d) > DELTA_CAP)
 

@@ -477,13 +477,17 @@ def test_a_run_that_diverges_before_its_fifth_sample_reports_loss_of_synchronism
 
 def test_verify_prints_no_nan_order_when_both_gaps_are_not_finite(tmp_path, capsys):
     """A run that diverges by its third sample compares no sample at either
-    dt, so both gaps are nan and no order exists."""
+    dt: verify says so instead of printing nan gaps, and fails."""
     code = main(["verify", str(_early_file(tmp_path))])
     assert code == 3
     out = capsys.readouterr().out
-    assert "  dt = 0.5: rel gap nan over 0 samples\n" in out
-    assert "  observed convergence order n/a (gap not finite)\n" in out
-    assert "order nan" not in out and "order inf" not in out
+    assert out.splitlines()[1:] == [
+        "  dt = 0.5: no sample compared",
+        "  dt = 0.25: no sample compared",
+        "  observed convergence order n/a (no sample compared)",
+        "  bound 0.1: FAIL (no sample compared)",
+    ]
+    assert "nan" not in out and "inf" not in out
 
 
 def test_verify_prints_no_order_when_both_gaps_are_zero(capsys):

@@ -275,6 +275,14 @@ def test_grid_at_the_sample_budget_parses():
     assert parse_scenario(doc).grid.n == MAX_SAMPLES
 
 
+def test_grid_of_four_samples_is_refused_at_grid():
+    """The length rule is TimeGrid's, reported at the grid section in its words."""
+    doc = _with(SYNTH_DOC, "grid", {"t_end": 3.0, "dt": 1.0})
+    with pytest.raises(ConfigError, match="^at grid: grid needs at least 5 samples, got n=4$") as info:
+        parse_scenario(doc)
+    assert info.value.path == "grid"
+
+
 def test_scenario_rejects_negative_inertia_via_model_validation():
     with pytest.raises(ConfigError, match="at system: inertia H must be positive"):
         parse_scenario(_with(SMIB_DOC, "system.H", -2.0))

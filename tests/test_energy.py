@@ -5,7 +5,7 @@ import pytest
 
 from syncenergy.energy import EDGE_WIDTH, conditional_variance, teo_real
 from syncenergy.pipeline import analyze
-from syncenergy.signals import ParkSeries, TimeGrid, differentiate
+from syncenergy.signals import MIN_SAMPLES, ParkSeries, TimeGrid, differentiate
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
 
 GRID = TimeGrid(0.0, 1e-3, 2001)
@@ -55,9 +55,10 @@ def test_teo_interior_mask_marks_edges():
 
 
 def test_teo_requires_five_samples():
-    g = TimeGrid(0.0, 1.0, 4)
+    """The length rule is TimeGrid's: a 4-sample grid is refused before any kernel."""
     with pytest.raises(ValueError, match="at least 5"):
-        teo_real(np.ones(4), g)
+        TimeGrid(0.0, 1.0, 4)
+    assert teo_real(np.ones(MIN_SAMPLES), TimeGrid(0.0, 1.0, MIN_SAMPLES)).shape == (MIN_SAMPLES,)
 
 
 # ------------------------------------------------------------- teo_complex
@@ -125,4 +126,6 @@ def test_variance_stays_finite_on_tiny_envelope():
 
 def test_variance_requires_five_samples():
     with pytest.raises(ValueError, match="at least 5"):
-        conditional_variance(np.ones(3), TimeGrid(0.0, 1.0, 3))
+        TimeGrid(0.0, 1.0, 3)
+    g = TimeGrid(0.0, 1.0, MIN_SAMPLES)
+    assert conditional_variance(np.ones(MIN_SAMPLES), g).shape == (MIN_SAMPLES,)

@@ -29,6 +29,7 @@ from syncenergy.pipeline import AnalysisResult, analyze, identity_gap
 from syncenergy.pll import PllParams
 from syncenergy.signals import (
     EPS_MAG,
+    MIN_SAMPLES,
     ParkSeries,
     TimeGrid,
     complex_frequency,
@@ -170,11 +171,11 @@ _POSITIVE = st.floats(min_value=1e-8, max_value=1e4, allow_nan=False, allow_infi
 
 
 @st.composite
-def _grids(draw, min_n=5):
+def _grids(draw):
     return TimeGrid(
         draw(st.floats(min_value=-10.0, max_value=10.0)),
         draw(st.floats(min_value=1e-6, max_value=0.1)),
-        draw(st.integers(min_n, 40)),
+        draw(st.integers(MIN_SAMPLES, 40)),
     )
 
 
@@ -195,7 +196,7 @@ def _grid_and_pairs(draw):
 # ------------------------------------------------------------ bit for bit
 
 @settings(deadline=None, max_examples=100)
-@given(grid=_grids(min_n=3))
+@given(grid=_grids())
 def test_grid_times_match_reference(grid):
     assert _same_bits(grid.times(), _times(grid))
 
@@ -271,7 +272,7 @@ _TEMPLATE_FIELDS = {
 @settings(deadline=None, max_examples=300)
 @given(
     template=st.sampled_from(sorted(_TEMPLATE_FIELDS)),
-    grid=st.builds(TimeGrid, st.floats(0.0, 1.0), st.floats(1e-5, 1e-2), st.integers(3, 300)),
+    grid=st.builds(TimeGrid, st.floats(0.0, 1.0), st.floats(1e-5, 1e-2), st.integers(MIN_SAMPLES, 300)),
     data=st.data(),
 )
 def test_synthetic_signal_matches_reference_on_every_template(template, grid, data):

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from syncenergy import pipeline
 from syncenergy.config import ConfigError
+from syncenergy.metric import ClassifierPolicy, SyncStatus, classify_sync
 from syncenergy.pipeline import ESTIMATORS, ForkedCall, analyze, identity_gap
 from syncenergy.pll import PllParams, pll_run
 from syncenergy.runner import execute_scenario
-from syncenergy.signals import EPS_MAG, ParkSeries, TimeGrid
+from syncenergy.signals import EDGE_WIDTH, EPS_MAG, MIN_SAMPLES, ParkSeries, TimeGrid
 from syncenergy.simulator import SyntheticSpec, synthetic_signal
 
 GRID = TimeGrid(0.0, 1e-3, 4001)
@@ -49,6 +50,23 @@ def test_two_routes_agree_on_modulated_signal():
     assert report.n_compared == GRID.n - 4
     assert report.rel_gap < 1e-4
     assert report.max_abs_gap <= report.rel_gap * report.scale * (1.0 + 1e-12)
+
+
+def test_every_grid_is_one_the_analysis_takes():
+    """TimeGrid holds the only record-length rule: a grid one sample short of
+    MIN_SAMPLES is refused where it is built, and on MIN_SAMPLES samples both
+    estimators, the classifier and the route comparison all run."""
+    with pytest.raises(ValueError, match="at least 5"):
+        TimeGrid(0.0, 1.0, MIN_SAMPLES - 1)
+    grid = TimeGrid(0.0, 1e-3, MIN_SAMPLES)
+    v, i = synthetic_signal(SyntheticSpec(grid=grid, template="dual_frequency", omega1=2.0, omega2=1.0))
+    policy = ClassifierPolicy()
+    for estimator in ESTIMATORS:
+        result = analyze(v, i, estimator)
+        assert result.se.psi.shape == result.psi_numeric.shape == (MIN_SAMPLES,)
+        assert classify_sync(result.se, policy).status is SyncStatus.INDETERMINATE
+        assert classify_sync(result.se, policy, diverged=True).status is SyncStatus.LOSS_OF_SYNCHRONISM
+        assert identity_gap(result).n_compared == MIN_SAMPLES - 2 * EDGE_WIDTH
 
 
 def test_identity_gap_zero_when_both_routes_vanish():

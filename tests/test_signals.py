@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from syncenergy.signals import (
     EPS_MAG,
+    MIN_SAMPLES,
     ParkSeries,
     TimeGrid,
     complex_frequency,
@@ -44,8 +45,9 @@ def test_grid_on_grid_is_relative_to_t0_and_step_count():
 def test_grid_rejects_bad_step_and_size():
     with pytest.raises(ValueError, match="positive"):
         TimeGrid(0.0, 0.0, 10)
-    with pytest.raises(ValueError, match="at least 3"):
-        TimeGrid(0.0, 0.1, 2)
+    for n in (2, MIN_SAMPLES - 1):
+        with pytest.raises(ValueError, match="at least 5"):
+            TimeGrid(0.0, 0.1, n)
 
 
 # -------------------------------------------------------------- ParkSeries
@@ -186,12 +188,12 @@ def test_degeneracy_threshold_is_shared():
 # ----------------------------------------------------------- complex_power
 
 def test_complex_power_frozen_small_case():
-    g = TimeGrid(0.0, 1.0, 3)
-    v = ParkSeries(g, np.full(3, 1.0), np.full(3, 2.0))
-    i = ParkSeries(g, np.full(3, 3.0), np.full(3, 4.0))
+    g = TimeGrid(0.0, 1.0, MIN_SAMPLES)
+    v = ParkSeries(g, np.full(MIN_SAMPLES, 1.0), np.full(MIN_SAMPLES, 2.0))
+    i = ParkSeries(g, np.full(MIN_SAMPLES, 3.0), np.full(MIN_SAMPLES, 4.0))
     s = complex_power(v, i)
-    np.testing.assert_array_equal(s.d, 11.0 * np.ones(3))
-    np.testing.assert_array_equal(s.q, 2.0 * np.ones(3))
+    np.testing.assert_array_equal(s.d, 11.0 * np.ones(MIN_SAMPLES))
+    np.testing.assert_array_equal(s.q, 2.0 * np.ones(MIN_SAMPLES))
 
 
 def test_complex_power_equals_v_times_conj_i():
